@@ -53,8 +53,9 @@ func BenchmarkArtifactGraphWarm(b *testing.B) {
 	st, ga, _ := benchGraphModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The warm path still pays canonicalization + content hash — the
-		// price of addressing by content rather than by reference.
+		// A warm hit still pays the canonical encoding (dag.AppendJSON)
+		// and its SHA-256 — the price of addressing by content rather
+		// than by reference.
 		got, built, err := st.Graph(ga.G)
 		if err != nil || built || got != ga {
 			b.Fatalf("warm graph: built=%v err=%v", built, err)

@@ -20,7 +20,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
@@ -289,10 +288,7 @@ func (s *Store) Graph(g *dag.Graph) (*Graph, bool, error) {
 // cancellable, while the build itself aborts only when every interested
 // request has detached (see Resolver.ResolveContext).
 func (s *Store) GraphContext(ctx context.Context, g *dag.Graph) (*Graph, bool, error) {
-	canonical, err := json.Marshal(g)
-	if err != nil {
-		return nil, false, err
-	}
+	canonical := g.AppendJSON(nil)
 	id := GraphID(canonical)
 	v, built, err := s.res.ResolveBuiltContext(ctx, graphRequest(id, canonical, g))
 	if err != nil {

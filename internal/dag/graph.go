@@ -60,8 +60,8 @@ var (
 // returns its ID. Weights must be non-negative; a zero weight is legal (the
 // paper's synthetic source/sink tasks have zero weight).
 func (g *Graph) AddTask(name string, weight float64) (int, error) {
-	if weight < 0 || weight != weight || weight > 1e300 {
-		return -1, fmt.Errorf("%w: %v", ErrBadWeight, weight)
+	if err := checkWeight(weight); err != nil {
+		return -1, err
 	}
 	id := len(g.names)
 	g.names = append(g.names, name)
@@ -71,6 +71,14 @@ func (g *Graph) AddTask(name string, weight float64) (int, error) {
 	g.succSet = append(g.succSet, nil)
 	g.version++
 	return id, nil
+}
+
+// checkWeight rejects negative, NaN and huge (> 1e300) task weights.
+func checkWeight(w float64) error {
+	if w < 0 || w != w || w > 1e300 {
+		return fmt.Errorf("%w: %v", ErrBadWeight, w)
+	}
+	return nil
 }
 
 // MustAddTask is AddTask panicking on error; for tests and generators whose
@@ -144,8 +152,8 @@ func (g *Graph) SetWeight(i int, w float64) error {
 	if i < 0 || i >= len(g.names) {
 		return ErrBadTask
 	}
-	if w < 0 || w != w || w > 1e300 {
-		return fmt.Errorf("%w: %v", ErrBadWeight, w)
+	if err := checkWeight(w); err != nil {
+		return err
 	}
 	g.weights[i] = w
 	g.version++

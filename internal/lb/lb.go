@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -99,7 +100,7 @@ type Router struct {
 	mu       sync.Mutex
 	replicas map[string]*replicaState
 	ring     *ring
-	genKeys  map[genKey]string // (kind,k) → routing key memo
+	genKeys  map[genKey]string // (kind,k) → routing key memo, at most maxGenKeys
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -328,19 +329,22 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// maxBodyBytes bounds a proxied request body (inline graphs included);
-// makespand's own decoder enforces its stricter limits downstream.
-const maxBodyBytes = 8 << 20
-
 // proxyBodyKey proxies a POST whose routing key comes from the body's
 // graph selector. sweepDefault selects the sweep route's convention:
 // an empty selector means the default sweep spec, and must route to
 // the replica owning that workload's artifacts.
 func (rt *Router) proxyBodyKey(sweepDefault bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		// The replica's own cap (service.MaxBodyBytes): a body it would
+		// refuse with 413 is refused here, before the routing key is paid.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, fmt.Sprintf("read body: %v", err))
 			return
 		}
 		rt.forward(w, r, body, rt.bodyRoutingKey(r, body, sweepDefault))
@@ -372,6 +376,11 @@ type genKey struct {
 	k    int
 }
 
+// maxGenKeys caps the generator-key memo. Specs come from clients, so
+// the memo starts over when full rather than grow without bound; the
+// few named workloads a fleet serves refill it at one generate each.
+const maxGenKeys = 1024
+
 // selectorKey computes a selector's routing key, memoizing generator
 // specs so the hot path pays one map probe instead of generate +
 // marshal + hash per request.
@@ -391,11 +400,20 @@ func (rt *Router) selectorKey(sel service.RoutingSelector) (string, error) {
 		return "", err
 	}
 	if memoable {
-		rt.mu.Lock()
-		rt.genKeys[gk] = key
-		rt.mu.Unlock()
+		rt.rememberGenKey(gk, key)
 	}
 	return key, nil
+}
+
+// rememberGenKey stores a generator spec's key, first emptying the
+// memo when it holds maxGenKeys entries.
+func (rt *Router) rememberGenKey(gk genKey, key string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if len(rt.genKeys) >= maxGenKeys {
+		clear(rt.genKeys)
+	}
+	rt.genKeys[gk] = key
 }
 
 // proxyGraphID proxies GET /v1/graphs/{id}: the id *is* the content

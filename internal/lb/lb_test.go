@@ -439,3 +439,48 @@ func TestGraphIDPathRoutesWithBodyKey(t *testing.T) {
 		t.Fatalf("GET routed to %s, POST to %s", get.Body, post.Body)
 	}
 }
+
+func TestProxyRejectsOversizedBodyWith413(t *testing.T) {
+	a := newStubReplica(t, okJSON("a"))
+	rt := newTestRouter(t, Config{Replicas: []string{a.base()}})
+	body := `{"graph":{"tasks":[],"pad":"` + strings.Repeat("x", service.MaxBodyBytes) + `"}}`
+	rec := postJSON(t, rt.Handler(), "/v1/estimate", body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if n := a.hits.Load(); n != 0 {
+		t.Fatalf("oversized body reached the replica %d times", n)
+	}
+}
+
+func TestGeneratorKeyMemoIsBounded(t *testing.T) {
+	rt := newTestRouter(t, Config{Replicas: []string{"http://127.0.0.1:1"}})
+	// Every distinct (kind, k) a client sends that generates is a new
+	// memo entry; the memo must not grow past its cap however many
+	// arrive.
+	for i := 0; i < 3*maxGenKeys; i++ {
+		rt.rememberGenKey(genKey{kind: "lu", k: 1000 + i}, fmt.Sprintf("graph/junk%d", i))
+		rt.mu.Lock()
+		n := len(rt.genKeys)
+		rt.mu.Unlock()
+		if n > maxGenKeys {
+			t.Fatalf("memo holds %d keys after %d specs, cap %d", n, i+1, maxGenKeys)
+		}
+	}
+	want, err := service.RoutingSelector{Kind: "lu", K: 3}.RoutingKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // a miss, then a memo hit
+		got, err := rt.selectorKey(service.RoutingSelector{Kind: "lu", K: 3})
+		if err != nil || got != want {
+			t.Fatalf("key %q, %v; want %q", got, err, want)
+		}
+	}
+	rt.mu.Lock()
+	_, memoized := rt.genKeys[genKey{kind: "lu", k: 3}]
+	rt.mu.Unlock()
+	if !memoized {
+		t.Fatal("a generator key was not memoized after the memo filled up")
+	}
+}

@@ -61,10 +61,10 @@ func DefaultSweepSelector() RoutingSelector {
 // shard key. graph_id wins over kind over inline graph when several
 // are set (the replica 400s such bodies anyway; the priority only
 // keeps routing deterministic). Generator specs pay one generate +
-// marshal + hash; callers that route hot paths should memoize by
+// encode + hash; callers that route hot paths should memoize by
 // (kind, k) — the named workloads are deterministic, so the key never
-// changes. Inline graphs are canonicalized exactly like the submit
-// path: unmarshal into the dag schema, re-marshal, hash.
+// changes. Inline graphs go through the replica's own code path:
+// dag.DecodeJSON, then the canonical bytes of dag.AppendJSON, hashed.
 func (sel RoutingSelector) RoutingKey() (string, error) {
 	switch {
 	case sel.GraphID != "":
@@ -77,24 +77,19 @@ func (sel RoutingSelector) RoutingKey() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("routing: %w", err)
 		}
-		return graphKeyOf(g)
+		return graphKeyOf(g), nil
 	case len(sel.Graph) > 0:
-		var g dag.Graph
-		if err := json.Unmarshal(sel.Graph, &g); err != nil {
+		g, err := dag.DecodeJSON(sel.Graph)
+		if err != nil {
 			return "", fmt.Errorf("routing: bad graph: %w", err)
 		}
-		return graphKeyOf(&g)
+		return graphKeyOf(g), nil
 	default:
 		return "", fmt.Errorf("routing: no graph selector in request")
 	}
 }
 
-// graphKeyOf canonicalizes g the same way the artifact store does and
-// returns its store key.
-func graphKeyOf(g *dag.Graph) (string, error) {
-	canonical, err := json.Marshal(g)
-	if err != nil {
-		return "", fmt.Errorf("routing: canonicalize graph: %w", err)
-	}
-	return string(artifact.GraphKey(artifact.GraphID(canonical))), nil
+// graphKeyOf returns the store key the artifact store files g under.
+func graphKeyOf(g *dag.Graph) string {
+	return string(artifact.GraphKey(artifact.GraphID(g.AppendJSON(nil))))
 }

@@ -473,10 +473,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes bounds a /v1 request body, inline graphs included. The
+// daemon answers a larger body with 413 before decoding it; makespan-lb
+// applies the same cap before computing a routing key.
+const MaxBodyBytes = 8 << 20
+
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return errBadRequest("bad request body: %v", err)
 	}
 	return nil
@@ -536,11 +546,11 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 		}
 		return e, created, nil
 	default:
-		var g dag.Graph
-		if err := json.Unmarshal(ref.Graph, &g); err != nil {
+		g, err := dag.DecodeJSON(ref.Graph)
+		if err != nil {
 			return nil, false, errBadRequest("bad graph: %v", err)
 		}
-		e, created, err := s.reg.AddContext(ctx, &g, GraphMeta{Kind: "custom"})
+		e, created, err := s.reg.AddContext(ctx, g, GraphMeta{Kind: "custom"})
 		if err != nil {
 			// Aside from cancellation and injected faults (which reqErr
 			// keeps server-side), Add fails only on the submitted content
@@ -596,7 +606,7 @@ func summarize(e *Entry, created bool, withCache bool) graphSummary {
 
 func (s *Server) handleSubmitGraph(w http.ResponseWriter, r *http.Request) {
 	var ref graphRef
-	if err := decodeJSON(r, &ref); err != nil {
+	if err := decodeJSON(w, r, &ref); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -660,7 +670,7 @@ type estimateRequest struct {
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -910,7 +920,7 @@ type scheduleRequest struct {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req scheduleRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -1113,7 +1123,7 @@ type sweepRequest struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -105,10 +105,12 @@ func TestSubmitGraphValidation(t *testing.T) {
 		// A cycle passes unmarshal and is first caught by Freeze inside
 		// the registry — still the client's fault, still a 400.
 		{`{"graph":{"tasks":[{"name":"a","weight":1},{"name":"b","weight":1}],"edges":[[0,1],[1,0]]}}`, http.StatusBadRequest},
+		// A body over MaxBodyBytes is refused before it is decoded.
+		{`{"graph":{"tasks":[],"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		if code, body := post(t, ts, "/v1/graphs", c.body); code != c.want {
-			t.Errorf("%s -> %d (%s), want %d", c.body, code, body, c.want)
+			t.Errorf("%.200s -> %d (%s), want %d", c.body, code, body, c.want)
 		}
 	}
 	// A valid inline graph is accepted and estimable.

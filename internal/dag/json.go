@@ -11,10 +11,13 @@ package dag
 // encoding/json's Unmarshal accepted and give them the same meaning —
 // case-insensitive keys, a repeated key decoding over the previous
 // value, null leaving a field as it was. The package tests hold the
-// encoding/json decoder as the oracle (FuzzGraphJSON).
+// encoding/json decoder as the oracle (FuzzGraphJSON). DecodeEnvelope
+// runs the same scanner over a document that carries a graph as one of
+// its members, so a request body's graph bytes are read exactly once.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -261,6 +264,91 @@ func DecodeJSON(raw []byte) (*Graph, error) {
 	return d.build()
 }
 
+// Envelope is a JSON document split by DecodeEnvelope: one member
+// decoded in place as a graph, the others kept as raw bytes.
+type Envelope struct {
+	// Rest holds the document's other members, byte for byte and in
+	// order, as a JSON object. A document that is not an object is its
+	// own Rest.
+	Rest []byte
+	// HasGraph reports that the graph member is present (null counts).
+	// Graph and GraphErr are what DecodeJSON returns on the value bytes
+	// of its last occurrence.
+	HasGraph bool
+	Graph    *Graph
+	GraphErr error
+}
+
+// DecodeEnvelope reads a JSON document holding exactly one value in a
+// single pass. Members of a top-level object whose key matches key as
+// encoding/json matches a struct field name (after unescaping, in any
+// letter case) are decoded in place as graphs: the last one wins, as
+// with a json.RawMessage field, and earlier ones need only be valid
+// JSON. Every other member is copied verbatim into Rest, so a general
+// decoder sees only the document's remainder. Malformed JSON anywhere,
+// including data after the value, is the returned error; a well-formed
+// graph member that is not a valid graph is Envelope.GraphErr.
+func DecodeEnvelope(doc []byte, key string) (Envelope, error) {
+	d := graphDecoder{data: doc}
+	var env Envelope
+	var err error
+	if d.peek() == '{' {
+		rest := append(make([]byte, 0, 128), '{')
+		err = d.object(1, func(k []byte, depth int) error {
+			if bytes.EqualFold(k, []byte(key)) {
+				env.HasGraph = true
+				var err error
+				env.Graph, env.GraphErr, err = d.graphValue(depth + 1)
+				return err
+			}
+			start := d.memberStart
+			if err := d.skipValue(depth + 1); err != nil {
+				return err
+			}
+			if len(rest) > 1 {
+				rest = append(rest, ',')
+			}
+			rest = append(rest, doc[start:d.pos]...)
+			return nil
+		})
+		env.Rest = append(rest, '}')
+	} else {
+		err = d.skipValue(1)
+		env.Rest = doc
+	}
+	if err == nil {
+		if d.skipSpace(); d.pos != len(doc) {
+			err = d.syntaxError("end of input")
+		}
+	}
+	if err != nil {
+		return Envelope{}, errors.New(err.(*syntaxError).text)
+	}
+	return env, nil
+}
+
+// graphValue decodes the graph value at d.pos (depth is its level) as
+// DecodeJSON decodes those bytes alone, error offsets included. Only a
+// syntax error is returned as err; a well-formed value that is not a
+// valid graph yields gerr, with the scan moved past the value.
+func (d *graphDecoder) graphValue(depth int) (g *Graph, gerr, err error) {
+	d.skipSpace()
+	d.base = d.pos
+	d.tasks, d.edges, d.names = nil, nil, d.names[:0]
+	if gerr = d.graph(depth); gerr == nil {
+		g, gerr = d.build()
+		return g, gerr, nil
+	}
+	if _, ok := gerr.(*syntaxError); ok {
+		return nil, nil, gerr
+	}
+	d.pos = d.base
+	if err := d.skipValue(depth); err != nil {
+		return nil, nil, err
+	}
+	return nil, gerr, nil
+}
+
 // maxJSONDepth is encoding/json's nesting limit for arrays and objects.
 const maxJSONDepth = 10000
 
@@ -270,12 +358,14 @@ const maxJSONDepth = 10000
 // and then truncates, an empty array drops the backing array, and null
 // drops the slice.
 type graphDecoder struct {
-	data  []byte
-	pos   int
-	names []byte // unescaped task names, back to back
-	tasks []rawTask
-	edges [][2]int
-	key   []byte // scratch for escaped object keys
+	data        []byte
+	pos         int
+	base        int    // where the graph value starts; error offsets count from it
+	memberStart int    // where the object member being decoded starts
+	names       []byte // unescaped task names, back to back
+	tasks       []rawTask
+	edges       [][2]int
+	key         []byte // scratch for escaped object keys
 }
 
 // rawTask is a decoded task whose name is names[nameStart:nameEnd].
@@ -284,11 +374,17 @@ type rawTask struct {
 	weight             float64
 }
 
+// syntaxError is malformed JSON, as opposed to a well-formed value that
+// does not describe a graph. Its offsets count from the document start.
+type syntaxError struct{ text string }
+
+func (e *syntaxError) Error() string { return "dag: graph JSON: " + e.text }
+
 func (d *graphDecoder) syntaxError(what string) error {
 	if d.pos >= len(d.data) {
-		return fmt.Errorf("dag: graph JSON: unexpected end of input, expecting %s", what)
+		return &syntaxError{"unexpected end of input, expecting " + what}
 	}
-	return fmt.Errorf("dag: graph JSON: invalid character %q at offset %d, expecting %s", d.data[d.pos], d.pos, what)
+	return &syntaxError{fmt.Sprintf("invalid character %q at offset %d, expecting %s", d.data[d.pos], d.pos, what)}
 }
 
 func (d *graphDecoder) skipSpace() {
@@ -312,17 +408,8 @@ func (d *graphDecoder) peek() byte {
 }
 
 func (d *graphDecoder) document() error {
-	switch d.peek() {
-	case '{':
-		if err := d.object(1, d.graphMember); err != nil {
-			return err
-		}
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-	default:
-		return d.wrongType(1, "a graph")
+	if err := d.graph(1); err != nil {
+		return err
 	}
 	if d.skipSpace(); d.pos != len(d.data) {
 		return d.syntaxError("end of input")
@@ -330,12 +417,23 @@ func (d *graphDecoder) document() error {
 	return nil
 }
 
+// graph decodes a graph value at d.pos; depth is its level.
+func (d *graphDecoder) graph(depth int) error {
+	switch d.peek() {
+	case '{':
+		return d.object(depth, d.graphMember)
+	case 'n':
+		return d.literal("null")
+	}
+	return d.wrongType(depth, "a graph")
+}
+
 // object scans an object at d.pos (depth is its own nesting level) and
 // hands each member's unescaped key to member, which must consume the
 // value.
 func (d *graphDecoder) object(depth int, member func(key []byte, depth int) error) error {
 	if depth > maxJSONDepth {
-		return fmt.Errorf("dag: graph JSON: offset %d: exceeded max depth", d.pos)
+		return d.depthError()
 	}
 	d.pos++ // '{'
 	if d.peek() == '}' {
@@ -346,6 +444,7 @@ func (d *graphDecoder) object(depth int, member func(key []byte, depth int) erro
 		if d.peek() != '"' {
 			return d.syntaxError("object key")
 		}
+		d.memberStart = d.pos
 		start, end, plain, err := d.scanString()
 		if err != nil {
 			return err
@@ -374,11 +473,15 @@ func (d *graphDecoder) object(depth int, member func(key []byte, depth int) erro
 	}
 }
 
+func (d *graphDecoder) depthError() error {
+	return &syntaxError{fmt.Sprintf("offset %d: exceeded max depth", d.pos)}
+}
+
 // array scans an array at d.pos and calls elem with each element's
 // index; elem must consume the element.
 func (d *graphDecoder) array(depth int, elem func(i, depth int) error) error {
 	if depth > maxJSONDepth {
-		return fmt.Errorf("dag: graph JSON: offset %d: exceeded max depth", d.pos)
+		return d.depthError()
 	}
 	d.pos++ // '['
 	if d.peek() == ']' {
@@ -470,7 +573,7 @@ func (d *graphDecoder) taskMember(t *rawTask, key []byte, depth int) error {
 			}
 			w, err := strconv.ParseFloat(string(lit), 64)
 			if err != nil {
-				return fmt.Errorf("dag: graph JSON: offset %d: weight %s does not fit a float64", at, lit)
+				return fmt.Errorf("dag: graph JSON: offset %d: weight %s does not fit a float64", at-d.base, lit)
 			}
 			t.weight = w
 			return nil
@@ -562,7 +665,7 @@ func (d *graphDecoder) edgePair(e *[2]int, depth int) error {
 			// As encoding/json: "1e2" and "1.0" are not ints either.
 			v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 			if err != nil {
-				return fmt.Errorf("dag: graph JSON: offset %d: edge endpoint %s is not an int", at, lit)
+				return fmt.Errorf("dag: graph JSON: offset %d: edge endpoint %s is not an int", at-d.base, lit)
 			}
 			e[i] = int(v)
 			return nil
@@ -584,7 +687,7 @@ func (d *graphDecoder) wrongType(depth int, want string) error {
 	if err := d.skipValue(depth); err != nil {
 		return err
 	}
-	return fmt.Errorf("dag: graph JSON: offset %d: want %s, got %.20s", start, want, d.data[start:d.pos])
+	return fmt.Errorf("dag: graph JSON: offset %d: want %s, got %.20s", start-d.base, want, d.data[start:d.pos])
 }
 
 // growElem makes s[i] addressable as encoding/json does when decoding

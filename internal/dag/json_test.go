@@ -69,6 +69,65 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestDecodeEnvelope(t *testing.T) {
+	const g = `{"tasks":[{"name":"a","weight":1},{"name":"b","weight":2}],"edges":[[0,1]]}`
+	cases := []struct {
+		name, doc string
+		rest      string // "" when the document is malformed
+		graph     string // the member's bytes; "" when there is none
+	}{
+		{"members around the graph", `{"a":1, "graph" : ` + g + ` ,"b" : [2] }`, `{"a":1,"b" : [2]}`, g},
+		{"no members", `{}`, `{}`, ""},
+		{"only the graph", ` {"graph":` + g + `} `, `{}`, g},
+		{"last occurrence wins", `{"graph":{"tasks":7},"GRAPH":` + g + `}`, `{}`, g},
+		{"escaped key", `{"gr\u0061ph":{"tasks":"x"},"x":null}`, `{"x":null}`, `{"tasks":"x"}`},
+		{"null is a graph", `{"Graph":` + g + `,"graph":null}`, `{}`, `null`},
+		{"bad graph", `{"graph": {"tasks":[{"name":"a","weight":1}],"edges":[[0,1.5]]}}`, `{}`,
+			`{"tasks":[{"name":"a","weight":1}],"edges":[[0,1.5]]}`},
+		{"not an object", ` [1, {"graph":7}]`, ` [1, {"graph":7}]`, ""},
+		{"data after the body", `{"graph":` + g + `} x`, "", ""},
+		{"syntax error after a graph error", `{"graph":{"tasks":7},"a":}`, "", ""},
+		{"syntax error inside the graph", `{"graph":{"tasks":[1e]}}`, "", ""},
+		{"empty", ``, "", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := DecodeEnvelope([]byte(tc.doc), "graph")
+			if tc.rest == "" {
+				if err == nil {
+					t.Fatalf("want an error, got %+v", env)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(env.Rest) != tc.rest {
+				t.Fatalf("rest %q, want %q", env.Rest, tc.rest)
+			}
+			if env.HasGraph != (tc.graph != "") {
+				t.Fatalf("HasGraph %v", env.HasGraph)
+			}
+			if !env.HasGraph {
+				return
+			}
+			// The member decodes as DecodeJSON decodes its bytes alone,
+			// error offsets included.
+			want, wantErr := DecodeJSON([]byte(tc.graph))
+			if wantErr != nil {
+				if env.GraphErr == nil || env.GraphErr.Error() != wantErr.Error() {
+					t.Fatalf("graph error %v, want %v", env.GraphErr, wantErr)
+				}
+				return
+			}
+			if env.GraphErr != nil {
+				t.Fatal(env.GraphErr)
+			}
+			sameGraph(t, env.Graph, want)
+		})
+	}
+}
+
 func TestWriteDot(t *testing.T) {
 	g := Diamond(1, 2, 3, 4)
 	var buf bytes.Buffer

@@ -337,7 +337,7 @@ func (rt *Router) proxyBodyKey(sweepDefault bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// The replica's own cap (service.MaxBodyBytes): a body it would
 		// refuse with 413 is refused here, before the routing key is paid.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
+		body, err := service.ReadBody(w, r)
 		if err != nil {
 			status := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
@@ -385,7 +385,7 @@ const maxGenKeys = 1024
 // specs so the hot path pays one map probe instead of generate +
 // marshal + hash per request.
 func (rt *Router) selectorKey(sel service.RoutingSelector) (string, error) {
-	memoable := sel.GraphID == "" && len(sel.Graph) == 0 && sel.Kind != ""
+	memoable := sel.GraphID == "" && sel.Kind != "" // kind outranks an inline graph
 	gk := genKey{kind: sel.Kind, k: sel.K}
 	if memoable {
 		rt.mu.Lock()

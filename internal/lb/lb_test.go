@@ -484,3 +484,25 @@ func TestGeneratorKeyMemoIsBounded(t *testing.T) {
 		t.Fatal("a generator key was not memoized after the memo filled up")
 	}
 }
+
+func TestGeneratorOverCapIsNotGenerated(t *testing.T) {
+	// A k over service.MaxGeneratorK gets no routing key: the lb builds
+	// no graph for it and routes it by its raw bytes to a replica, which
+	// answers the 400.
+	a := newStubReplica(t, okJSON("a"))
+	rt := newTestRouter(t, Config{Replicas: []string{a.base()}})
+	body := fmt.Sprintf(`{"kind":"lu","k":%d}`, service.MaxGeneratorK+1)
+	req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body))
+	if key := rt.bodyRoutingKey(req, []byte(body), false); !strings.HasPrefix(key, "opaque/") {
+		t.Fatalf("routing key %q, want an opaque key", key)
+	}
+	if rec := postJSON(t, rt.Handler(), "/v1/estimate", body); rec.Code != 200 || a.hits.Load() != 1 {
+		t.Fatalf("status %d after %d replica hits, want the body proxied once", rec.Code, a.hits.Load())
+	}
+	rt.mu.Lock()
+	n := len(rt.genKeys)
+	rt.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("memo holds %d keys after an over-cap spec", n)
+	}
+}

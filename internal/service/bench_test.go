@@ -1,10 +1,13 @@
 package service
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/dag"
 )
 
 // The cache-hit benchmarks pin the registry's reason to exist: a warm
@@ -83,5 +86,91 @@ func BenchmarkServiceSweepWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doRequest(b, h, "/v1/sweep", body)
+	}
+}
+
+// The request-decode benchmarks time one hop's work on an inline-graph
+// body shaped like the inline-fleet benchmark workload's (a 300-task
+// Erdős–Rényi DAG, about 75 KB, plus a few request knobs): decoding the
+// body and computing the graph's canonical store key. Each has an
+// Oracle twin running the encoding/json decoding the one-pass decoder
+// replaced, on the same body.
+
+func inlineRequestBody(b *testing.B) []byte {
+	g, err := dag.ErdosRenyiDAG(dag.RandomConfig{Tasks: 300, MinWeight: 0.5, MaxWeight: 2, EdgeProb: 0.15},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := `{"graph":` + string(g.AppendJSON(nil)) + `,"pfail":0.001,"methods":"First Order","trials":1000,"seed":12345}`
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	return []byte(body)
+}
+
+// benchKey keeps the measured key computations from being optimized away.
+var benchKey string
+
+// BenchmarkDecodeRequestInline is the replica hop: the estimate request
+// decoded, then its graph's store key.
+func BenchmarkDecodeRequestInline(b *testing.B) {
+	body := inlineRequestBody(b)
+	for i := 0; i < b.N; i++ {
+		var req estimateRequest
+		if err := decodeRequest(body, &req, true); err != nil {
+			b.Fatal(err)
+		}
+		g, err := req.inline()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = graphKeyOf(g)
+	}
+}
+
+func BenchmarkDecodeRequestInlineOracle(b *testing.B) {
+	body := inlineRequestBody(b)
+	for i := 0; i < b.N; i++ {
+		var req oracleEstimate
+		if _, err := oracleDecodeRequest(body, &req); err != nil {
+			b.Fatal(err)
+		}
+		g, err := dag.DecodeJSON(req.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = graphKeyOf(g)
+	}
+}
+
+// BenchmarkExtractSelectorInline is the lb hop: selector and routing key.
+func BenchmarkExtractSelectorInline(b *testing.B) {
+	body := inlineRequestBody(b)
+	for i := 0; i < b.N; i++ {
+		sel, err := ExtractSelector(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key, err := sel.RoutingKey()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = key
+	}
+}
+
+func BenchmarkExtractSelectorInlineOracle(b *testing.B) {
+	body := inlineRequestBody(b)
+	for i := 0; i < b.N; i++ {
+		sel, err := oracleExtractSelector(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key, err := RoutingSelector{Graph: sel.Graph}.RoutingKey()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = key
 	}
 }

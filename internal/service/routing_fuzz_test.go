@@ -89,10 +89,9 @@ func TestGraphIDGoldens(t *testing.T) {
 
 // FuzzRoutingKey pins the cluster's shard invariant: whenever the
 // replica accepts an inline graph (POST /v1/graphs, which registers it
-// through Registry.AddContext) and the router can read the same body,
-// the router's RoutingKey succeeds and names that entry's store key,
-// so the lb sends every request for the graph to the replica caching
-// it.
+// through Registry.AddContext), the router reads the same body, and its
+// RoutingKey succeeds and names that entry's store key, so the lb
+// sends every request for the graph to the replica caching it.
 func FuzzRoutingKey(f *testing.F) {
 	for _, ic := range inlineIDGoldens {
 		f.Add([]byte(ic.graph))
@@ -125,9 +124,7 @@ func FuzzRoutingKey(f *testing.F) {
 		}
 		sel, err := ExtractSelector([]byte(body))
 		if err != nil {
-			// The replica's stream decoder ignores data after the body,
-			// the router does not: such a body routes by its raw bytes.
-			return
+			t.Fatalf("replica accepted %s but the router cannot read it: %v", body, err)
 		}
 		key, err := sel.RoutingKey()
 		if err != nil {

@@ -128,6 +128,7 @@ func TestRoutingKeyErrors(t *testing.T) {
 	}{
 		{"empty", RoutingSelector{}},
 		{"bad k", RoutingSelector{Kind: "lu", K: 0}},
+		{"k over cap", RoutingSelector{Kind: "lu", K: MaxGeneratorK + 1}},
 		{"bad kind", RoutingSelector{Kind: "nope", K: 4}},
 		{"bad inline", RoutingSelector{Graph: json.RawMessage(`{"tasks": 7}`)}},
 	}

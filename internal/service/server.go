@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -478,10 +479,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // applies the same cap before computing a routing key.
 const MaxBodyBytes = 8 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// ReadBody reads a request body of at most MaxBodyBytes into a buffer
+// sized once from Content-Length; a longer body fails with
+// *http.MaxBytesError.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(0)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, MaxBodyBytes)
+	}
+	// The MinRead spare lets ReadFrom's last read, the one that sees
+	// EOF, go without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// decodeJSON reads and decodes a /v1 request body (see decodeRequest).
+// The body must be exactly one JSON value with no unknown fields.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v requestBody) error {
+	body, err := ReadBody(w, r)
+	if err == nil {
+		err = decodeRequest(body, v, true)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return &httpError{status: http.StatusRequestEntityTooLarge,
@@ -494,13 +514,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 
 // graphRef selects a graph: a registry id, a generator spec, or an
 // inline DAG in the dag JSON schema. Exactly one of graph_id, kind and
-// graph must be set (k rides along with kind).
-type graphRef struct {
-	GraphID string          `json:"graph_id,omitempty"`
-	Kind    string          `json:"kind,omitempty"`
-	K       int             `json:"k,omitempty"`
-	Graph   json.RawMessage `json:"graph,omitempty"`
-}
+// graph must be set (k rides along with kind). It is the selector the
+// lb routes by, so both hops read a body the same way.
+type graphRef = RoutingSelector
 
 // resolve turns a graphRef into a registry entry, registering generated
 // or inline graphs on the fly (warm resubmissions dedup by content
@@ -514,7 +530,7 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 	if ref.Kind != "" {
 		set++
 	}
-	if len(ref.Graph) > 0 {
+	if ref.hasInline() {
 		set++
 	}
 	if set != 1 {
@@ -529,8 +545,8 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 		return e, false, nil
 	case ref.Kind != "":
 		k := ref.K
-		if k <= 0 {
-			return nil, false, errBadRequest("generator %q needs k >= 1, got %d", ref.Kind, ref.K)
+		if err := checkGeneratorK(ref.Kind, k); err != nil {
+			return nil, false, errBadRequest("%v", err)
 		}
 		meta := GraphMeta{Kind: ref.Kind, K: k}
 		if e, ok := s.reg.LookupGenerated(meta); ok {
@@ -546,7 +562,7 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 		}
 		return e, created, nil
 	default:
-		g, err := dag.DecodeJSON(ref.Graph)
+		g, err := ref.inline()
 		if err != nil {
 			return nil, false, errBadRequest("bad graph: %v", err)
 		}
@@ -1140,7 +1156,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	def := experiments.DefaultSweep()
-	if req.GraphID == "" && req.Kind == "" && len(req.Graph) == 0 {
+	if req.IsZero() {
 		// Zero-config parity with `experiments -sweep`.
 		req.Kind, req.K = string(def.Fact), def.K
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +103,10 @@ func TestSubmitGraphValidation(t *testing.T) {
 		{`{"graph_id":"sha256:x"}`, http.StatusBadRequest},        // id on submit
 		{`{"bogus_field":1}`, http.StatusBadRequest},
 		{`{"graph":{"tasks":[{"name":"a","weight":1}],"edges":[[0,5]]}}`, http.StatusBadRequest}, // bad edge
+		// The body is exactly one JSON value: data after it is refused.
+		{`{"kind":"lu","k":4} x`, http.StatusBadRequest},
+		// A generator k over MaxGeneratorK is refused before generating.
+		{`{"kind":"lu","k":65}`, http.StatusBadRequest},
 		// A cycle passes unmarshal and is first caught by Freeze inside
 		// the registry — still the client's fault, still a 400.
 		{`{"graph":{"tasks":[{"name":"a","weight":1},{"name":"b","weight":1}],"edges":[[0,1],[1,0]]}}`, http.StatusBadRequest},
@@ -117,6 +122,24 @@ func TestSubmitGraphValidation(t *testing.T) {
 	code, body := post(t, ts, "/v1/graphs", `{"graph":{"tasks":[{"name":"a","weight":1},{"name":"b","weight":2}],"edges":[[0,1]]}}`)
 	if code != http.StatusCreated {
 		t.Fatalf("inline graph: %d %s", code, body)
+	}
+}
+
+func TestReadBodySizedFromContentLength(t *testing.T) {
+	body := strings.Repeat("x", 100_000)
+	for _, known := range []bool{true, false} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/graphs", strings.NewReader(body))
+		if !known {
+			req.ContentLength = -1
+		}
+		got, err := ReadBody(httptest.NewRecorder(), req)
+		if err != nil || string(got) != body {
+			t.Fatalf("known length %v: read %d bytes, %v", known, len(got), err)
+		}
+		// One buffer of the announced size: no regrowth on the way.
+		if known && cap(got) != len(body)+bytes.MinRead {
+			t.Fatalf("buffer capacity %d for a %d-byte body", cap(got), len(body))
+		}
 	}
 }
 

@@ -74,6 +74,7 @@ type point struct {
 	msg       string
 	delay     time.Duration
 	remaining int64 // guarded by mu; <0 means unlimited
+	fired     int64 // guarded by mu; shots consumed so far
 }
 
 var (
@@ -179,6 +180,7 @@ func fire(site string) *point {
 			if p.remaining > 0 {
 				p.remaining--
 			}
+			p.fired++
 			return p
 		}
 		i := strings.LastIndexByte(name, '.')
@@ -188,6 +190,18 @@ func fire(site string) *point {
 		name = name[:i]
 	}
 	return nil
+}
+
+// Fired reports how many times the armed point named name has fired
+// through Hit since it was armed (0 when no such point is armed). Tests
+// use a delay:0s point as a counter of the hook site's executions.
+func Fired(name string) int64 {
+	mu.Lock()
+	defer mu.Unlock()
+	if p, ok := points[name]; ok {
+		return p.fired
+	}
+	return 0
 }
 
 // Hit fires the failpoint at site, if armed: error- and panic-mode

@@ -46,6 +46,36 @@ func TestErrorModeAndCount(t *testing.T) {
 	}
 }
 
+func TestFiredCountsShots(t *testing.T) {
+	t.Cleanup(Disarm)
+	if err := Arm("mc=delay:0s;artifact.build=error*1"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if err := Hit(ctx, "mc.chunk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Hit(ctx, "artifact.build.mc")
+	Hit(ctx, "artifact.build.mc") // spent: not counted
+	if got := Fired("mc"); got != 3 {
+		t.Fatalf("Fired(mc) = %d, want 3", got)
+	}
+	if got := Fired("artifact.build"); got != 1 {
+		t.Fatalf("Fired(artifact.build) = %d, want 1", got)
+	}
+	if got := Fired("mc.chunk"); got != 0 {
+		t.Fatalf("Fired of an unarmed name = %d, want 0", got)
+	}
+	if err := Arm("mc=delay:0s"); err != nil {
+		t.Fatal(err)
+	}
+	if got := Fired("mc"); got != 0 {
+		t.Fatalf("re-armed point kept its count: %d", got)
+	}
+}
+
 func TestPrefixMatchAtDotBoundary(t *testing.T) {
 	t.Cleanup(Disarm)
 	if err := Arm("artifact.build=error"); err != nil {

@@ -147,6 +147,17 @@ type chunkStat struct {
 	sketch *QuantileSketch
 }
 
+// chunkStat runs whole chunk c and summarizes it.
+func (wk *mcWorker) chunkStat(c int64) chunkStat {
+	wk.runChunk(newChunkRNG(wk.e.cfg.Seed, c), int(c)*chunkSize, int(c+1)*chunkSize)
+	st := chunkStat{c: c, sketch: NewQuantileSketch(DefaultSketchCells)}
+	for _, x := range wk.res {
+		st.acc.Add(x)
+		st.sketch.Add(x)
+	}
+	return st
+}
+
 // ResumeAdaptive runs the estimator's adaptive stopping loop, optionally
 // continuing from a previous snapshot, and returns the final result plus
 // the snapshot to store for later extension. The config must be adaptive
@@ -158,10 +169,12 @@ type chunkStat struct {
 // stopping decision is re-evaluated only after each in-order fold — so the
 // stopping chunk count is a deterministic function of (Seed, Mode,
 // stopping rule) alone, and the returned Result is bit-identical to a
-// fixed-budget run of the same chunk count for any worker count. Chunks
-// that workers started speculatively past the stopping point are
-// discarded. The MaxTrials cap always binds; a run reaching it returns
-// with Result.Converged reporting whether the tolerance was also met.
+// fixed-budget run of the same chunk count for any worker count. With
+// several workers, chunks started speculatively past the stopping point
+// are discarded; a single worker runs the chunks in the calling goroutine
+// and starts none past it. The MaxTrials cap always binds; a run reaching
+// it returns with Result.Converged reporting whether the tolerance was
+// also met.
 //
 // progress, when non-nil, replaces the estimator's own stopping check: it
 // is called after every in-order fold (and once before the first chunk)
@@ -215,12 +228,13 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 	if cur.chunks >= maxChunks || stop() {
 		return e.adaptiveResult(cur), cur, nil
 	}
-
-	// Workers pull chunk indices from next, bounded by limit; limit drops
-	// to the stopping point once the in-order reducer decides to stop, so
-	// in-flight speculation drains quickly. Results flow over a channel to
-	// this goroutine, which holds out-of-order chunks in pending and folds
-	// them in index order.
+	// fold merges the next in-order chunk and reports whether to stop.
+	fold := func(st chunkStat) bool {
+		cur.acc.Merge(st.acc)
+		cur.sketch.Merge(st.sketch)
+		cur.chunks++
+		return cur.chunks >= maxChunks || stop()
+	}
 	workers := e.cfg.Workers
 	if int64(workers) > maxChunks-cur.chunks {
 		workers = int(maxChunks - cur.chunks)
@@ -228,8 +242,28 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 	if workers < 1 {
 		workers = 1
 	}
-	results := make(chan chunkStat, workers)
 	done := ctx.Done()
+	if workers == 1 {
+		// One worker: run each chunk only once the previous one is folded
+		// and the stopping rule has passed on it, so no chunk is executed
+		// past the stopping point.
+		wk := e.newWorker()
+		for {
+			if err := chunkGate(ctx, done); err != nil {
+				return Result{}, nil, err
+			}
+			if fold(wk.chunkStat(cur.chunks)) {
+				return e.adaptiveResult(cur), cur, nil
+			}
+		}
+	}
+
+	// Workers pull chunk indices from next, bounded by limit; limit drops
+	// to the stopping point once the in-order reducer decides to stop, so
+	// in-flight speculation drains quickly. Results flow over a channel to
+	// this goroutine, which holds out-of-order chunks in pending and folds
+	// them in index order.
+	results := make(chan chunkStat, workers)
 	var next, limit atomic.Int64
 	var abort atomic.Bool
 	var errMu sync.Mutex
@@ -255,33 +289,16 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 				if c >= limit.Load() {
 					return
 				}
-				if done != nil {
+				if done != nil || faultinject.Enabled() {
 					if abort.Load() {
 						return
 					}
-					select {
-					case <-done:
-						fail(ctx.Err())
-						return
-					default:
-					}
-				}
-				if faultinject.Enabled() {
-					if abort.Load() {
-						return
-					}
-					if err := faultinject.Hit(ctx, "mc.chunk"); err != nil {
+					if err := chunkGate(ctx, done); err != nil {
 						fail(err)
 						return
 					}
 				}
-				wk.runChunk(newChunkRNG(e.cfg.Seed, c), int(c)*chunkSize, int(c+1)*chunkSize)
-				st := chunkStat{c: c, sketch: NewQuantileSketch(DefaultSketchCells)}
-				for _, x := range wk.res {
-					st.acc.Add(x)
-					st.sketch.Add(x)
-				}
-				results <- st
+				results <- wk.chunkStat(c)
 			}
 		}()
 	}
@@ -303,10 +320,7 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 				break
 			}
 			delete(pending, cur.chunks)
-			cur.acc.Merge(nst.acc)
-			cur.sketch.Merge(nst.sketch)
-			cur.chunks++
-			if cur.chunks >= maxChunks || stop() {
+			if fold(nst) {
 				stopped = true
 				limit.Store(cur.chunks)
 			}

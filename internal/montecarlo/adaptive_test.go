@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/faultinject"
 	"repro/internal/linalg"
 )
 
@@ -360,6 +361,40 @@ func TestResumeAdaptiveProgressHook(t *testing.T) {
 	// even though progress stopped the run.
 	if res.Converged {
 		t.Fatal("progress-stopped run claims tolerance convergence")
+	}
+}
+
+// With one worker the adaptive runner must not speculate: every chunk it
+// executes is folded, cold and when extending a snapshot. The "mc.chunk"
+// failpoint, armed as a zero delay, counts the chunks started.
+func TestAdaptiveSingleWorkerRunsOnlyFoldedChunks(t *testing.T) {
+	e, tol := adaptiveFixture(t)
+	t.Cleanup(faultinject.Disarm)
+	var prev *Snapshot
+	for _, tolerance := range []float64{2 * tol, tol} {
+		we, err := e.WithConfig(Config{Seed: 42, Tolerance: tolerance, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := faultinject.Arm("mc.chunk=delay:0s"); err != nil {
+			t.Fatal(err)
+		}
+		res, snap, err := we.ResumeAdaptive(prev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before int64
+		if prev != nil {
+			before = prev.Chunks()
+		}
+		folded := snap.Chunks() - before
+		if !res.Converged || folded < 2 {
+			t.Fatalf("tolerance %g: want a converged run of several chunks, got %d (%+v)", tolerance, folded, res)
+		}
+		if ran := faultinject.Fired("mc.chunk"); ran != folded {
+			t.Fatalf("tolerance %g: executed %d chunks, folded %d", tolerance, ran, folded)
+		}
+		prev = snap
 	}
 }
 

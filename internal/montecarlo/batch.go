@@ -1,21 +1,25 @@
 package montecarlo
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // Phase 2 of the split trial pipeline: multi-failure trials deferred by
 // phase 1 are evaluated in lane blocks — a structure-of-arrays longest-path
 // sweep over the frozen CSR graph computing evalLanes trials per pass.
 // Node-major order loads each node's predecessor indices once per block
-// instead of once per trial, and turns the inner max/add recurrence into
-// flat sweeps over contiguous per-node lane rows.
+// instead of once per trial, and each node's row is written by one fused
+// pass over its predecessor rows: row[i] = max(predecessor lane i) + w.
 //
 // Bit-exactness with the scalar kernel: for every (node, lane) the value
 // written is start + weight with the same two operands the scalar path
-// uses — the max over predecessor rows equals the scalar max (same
-// comparison chain over the same values), failed lanes get start + failW
-// computed directly from the start value (never by adding a correction to
-// an already-summed base), and the running per-lane maximum performs the
-// same comparisons in the same node order.
+// uses. The start is the maximum of the same set of non-negative values
+// (the scalar kernel's max starts from 0, and so does an empty max here),
+// and a maximum does not depend on the comparison order. Failed lanes are
+// then overwritten with start + failW, the start recomputed from the
+// lane's own predecessor column (never by adding a correction to an
+// already-summed base). The makespan is the maximum over the sink rows.
 
 // evalLanes is the lane block width B: trials evaluated per CSR pass.
 // 32 lanes = one 256-byte row per node, large enough to amortize the
@@ -53,8 +57,6 @@ func (b *laneBlock) add(trial int, pos []int32, w []float64) {
 // lazily on the first multi-failure block.
 type batchScratch struct {
 	comp  []float64 // n × evalLanes completion rows
-	best  []float64 // evalLanes running maxima
-	stash []float64 // start+failW staging, ≤ evalLanes per node
 	cnt   []int32   // per-node failure counts → CSR offsets (n+1)
 	fLane []int32   // node-major failure lanes
 	fW    []float64 // node-major inflated weights
@@ -64,10 +66,8 @@ func (wk *mcWorker) batch() *batchScratch {
 	if wk.bs == nil {
 		n := len(wk.e.base)
 		wk.bs = &batchScratch{
-			comp:  make([]float64, n*evalLanes),
-			best:  make([]float64, evalLanes),
-			stash: make([]float64, evalLanes),
-			cnt:   make([]int32, n+1),
+			comp: make([]float64, n*evalLanes),
+			cnt:  make([]int32, n+1),
 		}
 	}
 	return wk.bs
@@ -122,68 +122,154 @@ func (wk *mcWorker) evalBlock(blk *laneBlock) {
 	// patterns, and integer conditional assignment compiles branch-free
 	// (CMOV) where the float comparison would branch per lane.
 	compU := u64view(comp)
-	stash := bs.stash
+	// Every node writes all evalLanes lanes through fixed-size array views
+	// (no bounds checks, fully unrollable); lanes past B of a partial block
+	// compute on stale rows and are never read.
+	lanes := func(k int32) *[evalLanes]uint64 {
+		return (*[evalLanes]uint64)(compU[int(k)*evalLanes:])
+	}
 	o := 0
 	fo := 0
 	for k := 0; k < n; k++ {
-		kb := k * evalLanes
-		row := compU[kb : kb+B : kb+B]
+		row := (*[evalLanes]float64)(comp[k*evalLanes:])
 		end := int(off[k+1])
-		if o == end {
-			for i := range row {
-				row[i] = 0
+		w := base[k]
+		// One fused pass per node: row = max(predecessor bits) + w. The
+		// common in-degrees (every LU/QR/Cholesky node has 0 to 3) are
+		// specialised; the start of an empty max is 0, as in the scalar
+		// kernel.
+		switch end - o {
+		case 0:
+			fill0(row, w)
+		case 1:
+			fill1(row, lanes(adj[o]), w)
+		case 2:
+			fill2(row, lanes(adj[o]), lanes(adj[o+1]), w)
+		case 3:
+			fill3(row, lanes(adj[o]), lanes(adj[o+1]), lanes(adj[o+2]), w)
+		default:
+			ru := lanes(int32(k))
+			*ru = *lanes(adj[o])
+			for q := o + 1; q < end; q++ {
+				maxInto(ru, lanes(adj[q]))
 			}
-		} else {
-			p0 := int(adj[o]) * evalLanes
-			copy(row, compU[p0:p0+B])
-			for o++; o < end; o++ {
-				pb := int(adj[o]) * evalLanes
-				pr := compU[pb : pb+B : pb+B]
-				for i, v := range pr {
-					r := row[i]
-					if v > r {
-						r = v
-					}
-					row[i] = r
-				}
-			}
+			fill1(row, ru, w)
 		}
-		// Failed lanes: completion = start + inflated weight, computed from
-		// the start value so the sum is the scalar kernel's, bit for bit.
-		rowF := comp[kb : kb+B : kb+B]
+		// Failed lanes: recompute the start from the lane's own predecessor
+		// column and add the inflated weight — the scalar kernel's operand
+		// pair, bit for bit (never a correction to the base sum above).
 		fe := int(cnt[k])
 		for f := fo; f < fe; f++ {
-			stash[f-fo] = rowF[fLane[f]] + fW[f]
-		}
-		w := base[k]
-		for i := range rowF {
-			rowF[i] += w
-		}
-		for f := fo; f < fe; f++ {
-			rowF[fLane[f]] = stash[f-fo]
+			lane := int(fLane[f])
+			var s uint64
+			for q := o; q < end; q++ {
+				if v := compU[int(adj[q])*evalLanes+lane]; v > s {
+					s = v
+				}
+			}
+			row[lane] = math.Float64frombits(s) + fW[f]
 		}
 		fo = fe
+		o = end
 	}
 	// The makespan is attained at a sink (weights are non-negative, so a
 	// successor's completion is never below its predecessor's): fold only
 	// the sink rows — identical to the scalar kernel's max over all nodes.
-	best := u64view(bs.best[:B])
-	for i := range best {
-		best[i] = 0
-	}
+	var best [evalLanes]uint64
 	for _, s := range e.sinks {
-		sb := int(s) * evalLanes
-		sr := compU[sb : sb+B : sb+B]
-		for i, v := range sr {
-			r := best[i]
-			if v > r {
-				r = v
-			}
-			best[i] = r
-		}
+		maxInto(&best, lanes(s))
 	}
 	for lane := 0; lane < B; lane++ {
-		wk.res[blk.trial[lane]] = bs.best[lane]
+		wk.res[blk.trial[lane]] = math.Float64frombits(best[lane])
+	}
+}
+
+// The fill kernels write one node's lane row: row[i] = max of the
+// predecessor rows' bits at lane i, as a float64, plus w. They stay out of
+// line so each loop runs with the whole register file to itself; the two-
+// and three-predecessor loops (the bulk of every factorization DAG) are
+// unrolled by four lanes.
+
+//go:noinline
+func fill0(row *[evalLanes]float64, w float64) {
+	for i := range row {
+		row[i] = 0 + w
+	}
+}
+
+//go:noinline
+func fill1(row *[evalLanes]float64, a *[evalLanes]uint64, w float64) {
+	for i, v := range a {
+		row[i] = math.Float64frombits(v) + w
+	}
+}
+
+//go:noinline
+func fill2(row *[evalLanes]float64, a, b *[evalLanes]uint64, w float64) {
+	for i := 0; i < evalLanes; i += 4 {
+		m0, m1, m2, m3 := a[i], a[i+1], a[i+2], a[i+3]
+		if v := b[i]; v > m0 {
+			m0 = v
+		}
+		if v := b[i+1]; v > m1 {
+			m1 = v
+		}
+		if v := b[i+2]; v > m2 {
+			m2 = v
+		}
+		if v := b[i+3]; v > m3 {
+			m3 = v
+		}
+		row[i] = math.Float64frombits(m0) + w
+		row[i+1] = math.Float64frombits(m1) + w
+		row[i+2] = math.Float64frombits(m2) + w
+		row[i+3] = math.Float64frombits(m3) + w
+	}
+}
+
+//go:noinline
+func fill3(row *[evalLanes]float64, a, b, c *[evalLanes]uint64, w float64) {
+	for i := 0; i < evalLanes; i += 4 {
+		m0, m1, m2, m3 := a[i], a[i+1], a[i+2], a[i+3]
+		if v := b[i]; v > m0 {
+			m0 = v
+		}
+		if v := b[i+1]; v > m1 {
+			m1 = v
+		}
+		if v := b[i+2]; v > m2 {
+			m2 = v
+		}
+		if v := b[i+3]; v > m3 {
+			m3 = v
+		}
+		if v := c[i]; v > m0 {
+			m0 = v
+		}
+		if v := c[i+1]; v > m1 {
+			m1 = v
+		}
+		if v := c[i+2]; v > m2 {
+			m2 = v
+		}
+		if v := c[i+3]; v > m3 {
+			m3 = v
+		}
+		row[i] = math.Float64frombits(m0) + w
+		row[i+1] = math.Float64frombits(m1) + w
+		row[i+2] = math.Float64frombits(m2) + w
+		row[i+3] = math.Float64frombits(m3) + w
+	}
+}
+
+// maxInto folds row p into the running lane maxima r.
+func maxInto(r, p *[evalLanes]uint64) {
+	for i, v := range p {
+		m := r[i]
+		if v > m {
+			m = v
+		}
+		r[i] = m
 	}
 }
 

@@ -171,6 +171,10 @@ type Estimator struct {
 	d0      float64   // failure-free makespan
 	pfMax   float64   // max over tasks of pf, the thinning envelope
 	invLnQ  float64   // 1/ln(1−pfMax); 0 when pfMax == 0
+	// exitW is the largest first-draw payload (draw>>11)+1 whose envelope
+	// gap reaches past the last task: a trial drawing it has no failure
+	// and consumes only that draw. 0 when no payload exits (see exitPayload).
+	exitW uint64
 
 	tables *samplerTables // bit-threshold tables of the fast sampler (may be nil)
 	sinks  []int32        // positions with no successors, for the lane kernel
@@ -270,6 +274,7 @@ func newEstimatorRates(g *dag.Graph, frozen *dag.Frozen, rates []float64, cfg Co
 	}
 	if e.pfMax > 0 {
 		e.invLnQ = 1 / math.Log1p(-e.pfMax)
+		e.exitW = e.exitPayload()
 	}
 	// Heads, tails and d0 of the failure-free graph: a single failure of
 	// the task at position k moves the makespan to max(d0, hpt[k]+w) where
@@ -396,6 +401,11 @@ func (e *Estimator) newWorker() *mcWorker {
 // single-failure trials are resolved in O(1) on the spot) and a batched
 // evaluation of the deferred multi-failure trials. Results land in
 // wk.res[0:t1-t0] in trial order.
+//
+// Each trial's first draw is peeked before the sampler runs: a payload at
+// or below exitW is a gap past the last task, so the trial is failure-free
+// and resolves to d0 with one integer compare. Any other payload leaves
+// the stream untouched and the sampler redraws it.
 func (wk *mcWorker) runChunk(rng splitMix64, t0, t1 int) {
 	e := wk.e
 	res := wk.res[:t1-t0]
@@ -408,7 +418,16 @@ func (wk *mcWorker) runChunk(rng splitMix64, t0, t1 int) {
 	}
 	wk.blk.reset()
 	scalar := e.scalarEval
-	for t := 0; t < t1-t0; t++ {
+	exitW := e.exitW
+	if e.refSampler {
+		exitW = 0 // the reference path decides every exit itself
+	}
+	for t := range res {
+		if next := rng.s + gamma; mix64(next)>>11+1 <= exitW {
+			rng.s = next
+			res[t] = e.d0
+			continue
+		}
 		nfail := wk.sample(&rng)
 		switch nfail {
 		case 0:
@@ -446,9 +465,10 @@ func (e *Estimator) numChunks() int {
 }
 
 // runChunks executes all trial chunks across cfg.Workers goroutines,
-// calling observe(chunk, trialIndex, makespan) for every trial of a chunk
-// in trial order. observe must be safe for concurrent calls with distinct
-// chunks; chunk indices are in [0, numChunks()).
+// calling observe(chunk, t0, xs) once per chunk with the makespans of
+// trials [t0, t0+len(xs)) in trial order. xs is the worker's scratch and
+// is only valid during the call. observe must be safe for concurrent
+// calls with distinct chunks; chunk indices are in [0, numChunks()).
 //
 // Cancellation is checked at chunk boundaries — the natural
 // prefix-deterministic stopping points. A cancelled run returns
@@ -456,7 +476,7 @@ func (e *Estimator) numChunks() int {
 // runChunks never produces a partial Result. The checks cost nothing on
 // the hot path: ctx.Done() is captured once and is nil for
 // context.Background(), and the faultinject gate is one atomic load.
-func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t int, x float64)) error {
+func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t0 int, xs []float64)) error {
 	trials := e.cfg.Trials
 	nChunks := int64(e.numChunks())
 	workers := e.cfg.Workers
@@ -487,22 +507,11 @@ func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t int, 
 				if c >= nChunks {
 					return
 				}
-				if done != nil {
+				if done != nil || faultinject.Enabled() {
 					if abort.Load() {
 						return
 					}
-					select {
-					case <-done:
-						fail(ctx.Err())
-						return
-					default:
-					}
-				}
-				if faultinject.Enabled() {
-					if abort.Load() {
-						return
-					}
-					if err := faultinject.Hit(ctx, "mc.chunk"); err != nil {
+					if err := chunkGate(ctx, done); err != nil {
 						fail(err)
 						return
 					}
@@ -513,14 +522,26 @@ func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t int, 
 					t1 = trials
 				}
 				wk.runChunk(newChunkRNG(e.cfg.Seed, c), t0, t1)
-				for t := t0; t < t1; t++ {
-					observe(c, t, wk.res[t-t0])
-				}
+				observe(c, t0, wk.res[:t1-t0])
 			}
 		}()
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// chunkGate is the check made before every chunk: the context's
+// cancellation (done is ctx.Done(), nil for a context that never ends)
+// and the "mc.chunk" failpoint, whose delay or error lands here.
+func chunkGate(ctx context.Context, done <-chan struct{}) error {
+	if done != nil {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	return faultinject.Hit(ctx, "mc.chunk")
 }
 
 // ErrStaleGraph is returned by Run/RunSamples when the graph was mutated
@@ -574,14 +595,18 @@ func (e *Estimator) RunContext(ctx context.Context) (Result, error) {
 
 // runReduce runs all chunks, reduces the per-chunk accumulators in chunk
 // order (the step that makes the Result worker-count invariant), and
-// optionally streams every trial to sink. Shared by Run and RunSamples so
-// their Results cannot diverge.
-func (e *Estimator) runReduce(ctx context.Context, sink func(t int, x float64)) (Result, error) {
+// optionally hands every chunk's trials to sink (same contract as
+// runChunks' observe). Shared by Run and RunSamples so their Results
+// cannot diverge.
+func (e *Estimator) runReduce(ctx context.Context, sink func(t0 int, xs []float64)) (Result, error) {
 	accs := make([]Welford, e.numChunks())
-	err := e.runChunks(ctx, func(c int64, t int, x float64) {
-		accs[c].Add(x)
+	err := e.runChunks(ctx, func(c int64, t0 int, xs []float64) {
+		acc := &accs[c]
+		for _, x := range xs {
+			acc.Add(x)
+		}
 		if sink != nil {
-			sink(t, x)
+			sink(t0, xs)
 		}
 	})
 	if err != nil {

@@ -9,6 +9,10 @@ package montecarlo
 // negligible at any realistic trial count.
 type splitMix64 struct{ s uint64 }
 
+// gamma is the SplitMix64 state increment: draw i of a stream is
+// mix64(s + i·gamma).
+const gamma uint64 = 0x9e3779b97f4a7c15
+
 // mix64 is the SplitMix64 output finalizer (a strong 64-bit mixer).
 func mix64(z uint64) uint64 {
 	z ^= z >> 30
@@ -26,7 +30,7 @@ func newChunkRNG(seed uint64, chunk int64) splitMix64 {
 
 // Uint64 returns the next 64 random bits.
 func (r *splitMix64) Uint64() uint64 {
-	r.s += 0x9e3779b97f4a7c15
+	r.s += gamma
 	return mix64(r.s)
 }
 

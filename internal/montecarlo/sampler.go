@@ -75,7 +75,6 @@ func (wk *mcWorker) sampleRef(rng *splitMix64) int {
 // advances by exactly the number of draws the reference sampler would
 // have consumed, so the draw order is untouched.
 func (wk *mcWorker) sampleFast(rng *splitMix64) int {
-	const gamma uint64 = 0x9e3779b97f4a7c15
 	e := wk.e
 	tb := e.tables
 	n := len(e.base)
@@ -239,6 +238,24 @@ func maxSat(lo, hi uint64, pred func(uint64) bool) (uint64, bool) {
 	return lo, true
 }
 
+// maxGap returns the largest payload w = (draw>>11)+1 whose envelope gap
+// Log(w·2⁻⁵³)·invLnQ — sampleRef's arithmetic — is at least j.
+func (e *Estimator) maxGap(j int) (uint64, bool) {
+	fj := float64(j)
+	return maxSat(1, maxPayload, func(w uint64) bool {
+		return math.Log(float64(w)*0x1p-53)*e.invLnQ >= fj
+	})
+}
+
+// exitPayload returns the largest first-draw payload that ends a trial on
+// the spot: its gap is at least n, so sampleRef's loop exits at k = 0
+// with no failure. 0 when even the smallest payload's gap is short of n
+// (pfMax near 1), so the peek in runChunk never fires.
+func (e *Estimator) exitPayload() uint64 {
+	w, _ := e.maxGap(len(e.base)) // 0 when no payload qualifies
+	return w
+}
+
 // buildTables precomputes the sampler threshold tables when the workload
 // warrants it (or unconditionally when force is set, for tests). Safe to
 // call once during construction; results are read-only afterwards.
@@ -267,10 +284,7 @@ func (e *Estimator) buildTables(force bool) {
 	tb.gapBits[0] = maxPayload
 	tb.gapLast = last
 	for j := 1; j <= last; j++ {
-		fj := float64(j)
-		w, ok := maxSat(1, maxPayload, func(w uint64) bool {
-			return math.Log(float64(w)*0x1p-53)*e.invLnQ >= fj
-		})
+		w, ok := e.maxGap(j)
 		if !ok {
 			// Unreachable for j <= jAll, but degrade safely: shrink the
 			// table so the fallback handles everything past j-1.

@@ -137,7 +137,7 @@ func (e *Estimator) RunSamples() (Result, *Samples, error) {
 	// cfg.Trials is normalized to >= 1 at construction, so the run always
 	// produces samples.
 	all := make([]float64, e.cfg.Trials)
-	res, err := e.runReduce(context.Background(), func(t int, x float64) { all[t] = x })
+	res, err := e.runReduce(context.Background(), func(t0 int, xs []float64) { copy(all[t0:], xs) })
 	if err != nil {
 		return Result{}, nil, err
 	}

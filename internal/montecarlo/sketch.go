@@ -449,12 +449,14 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 	}
 	accs := make([]Welford, e.numChunks())
 	sketches := make([]*QuantileSketch, e.numChunks())
-	err := e.runChunks(ctx, func(c int64, t int, x float64) {
-		accs[c].Add(x)
-		if sketches[c] == nil {
-			sketches[c] = NewQuantileSketch(DefaultSketchCells)
+	err := e.runChunks(ctx, func(c int64, _ int, xs []float64) {
+		acc := &accs[c]
+		sk := NewQuantileSketch(DefaultSketchCells)
+		for _, x := range xs {
+			acc.Add(x)
+			sk.Add(x)
 		}
-		sketches[c].Add(x)
+		sketches[c] = sk
 	})
 	if err != nil {
 		return Result{}, nil, err
@@ -463,9 +465,7 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 	var acc Welford
 	for i := range accs {
 		acc.Merge(accs[i])
-		if sketches[i] != nil {
-			total.Merge(sketches[i])
-		}
+		total.Merge(sketches[i])
 	}
 	return resultFrom(acc), total, nil
 }

@@ -144,9 +144,12 @@ func Run(g *dag.Graph, prio []float64, nprocs int, model failure.Model, rng *ran
 	}
 	heap.Init(ready)
 
-	freeProcs := make([]int, nprocs)
+	// Only the first n processors can ever be used: the stack pops the
+	// smallest never-used index, and index n would need all n below it
+	// busy while another task is ready. So the stack holds at most n.
+	freeProcs := make([]int, min(nprocs, n))
 	for p := range freeProcs {
-		freeProcs[p] = nprocs - 1 - p // pop smallest index first
+		freeProcs[p] = len(freeProcs) - 1 - p // pop smallest index first
 	}
 	running := &eventHeap{}
 	now := 0.0

@@ -83,7 +83,7 @@ func freezeFromBase(g *dag.Graph, policy Policy, procs int, base sched.Schedule)
 	// earlier one exactly like a precedence edge. Chain edges always point
 	// forward in dispatch order (a task is dispatched only after its
 	// predecessors finished), so the DAG stays acyclic by construction.
-	last := make([]int, procs)
+	last := make([]int, min(procs, n)) // list scheduling uses at most n processors
 	for p := range last {
 		last[p] = -1
 	}
@@ -123,11 +123,16 @@ func freezeFromBase(g *dag.Graph, policy Policy, procs int, base sched.Schedule)
 
 // Efficiency returns the failure-free parallel efficiency of the
 // schedule: total work / (procs × makespan). 0 for an empty schedule.
-func (fs *FrozenSchedule) Efficiency() float64 {
+func (fs *FrozenSchedule) Efficiency() float64 { return fs.EfficiencyOn(fs.Procs) }
+
+// EfficiencyOn is Efficiency charged for procs processors. The schedule on
+// procs ≥ n processors is the schedule on n, so a caller sharing one
+// frozen schedule across such counts passes the count it was asked for.
+func (fs *FrozenSchedule) EfficiencyOn(procs int) float64 {
 	if fs.Makespan <= 0 {
 		return 0
 	}
-	return fs.Graph.TotalWeight() / (float64(fs.Procs) * fs.Makespan)
+	return fs.Graph.TotalWeight() / (float64(procs) * fs.Makespan)
 }
 
 // SizeBytes reports the approximate retained heap size of the frozen

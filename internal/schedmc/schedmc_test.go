@@ -1,6 +1,7 @@
 package schedmc
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dag"
@@ -228,5 +229,31 @@ func TestSizeBytesPositive(t *testing.T) {
 	}
 	if e.SizeBytes() <= e.Schedule().SizeBytes() || e.Schedule().SizeBytes() <= 0 {
 		t.Fatalf("implausible sizes: estimator %d, schedule %d", e.SizeBytes(), e.Schedule().SizeBytes())
+	}
+}
+
+// Processors past the task count are never used, so a schedule on more
+// processors than tasks is the schedule on n, built without allocating
+// per-processor state for the idle ones; only Procs and Efficiency keep
+// the requested count.
+func TestFreezeProcsBeyondTasks(t *testing.T) {
+	g := mustLU(t, 5)
+	n := g.NumTasks()
+	model := mustModel(t, g, 0.01)
+	for _, pol := range AllPolicies() {
+		atN, err := Freeze(g, pol, n, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, err := Freeze(g, pol, 1000000, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(many.Base, atN.Base) || many.ChainEdges != atN.ChainEdges || many.Makespan != atN.Makespan {
+			t.Fatalf("%s: schedule on 1e6 processors differs from the one on n=%d", pol, n)
+		}
+		if many.Procs != 1000000 || many.Efficiency() != atN.EfficiencyOn(1000000) {
+			t.Fatalf("%s: procs %d efficiency %v, want 1e6 and %v", pol, many.Procs, many.Efficiency(), atN.EfficiencyOn(1000000))
+		}
 	}
 }

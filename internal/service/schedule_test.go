@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 func TestScheduleHandler(t *testing.T) {
@@ -192,5 +197,87 @@ func TestConcurrentScheduleDeterministic(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// A processor count past the task count is clamped before any
+// per-processor state is allocated: procs = 1e8 on LU k=4 answers like
+// procs = n, except for the echoed procs, the efficiency charged for the
+// requested count and the timings. Unclamped, the list scheduler and the
+// freeze would each allocate an 800 MB []int; the request must stay
+// under 32 MiB of allocation in total.
+func TestScheduleProcsClampedToTasks(t *testing.T) {
+	ts := newTestServer(t)
+	n := linalg.LUTaskCount(4)
+	const huge = 100000000
+	for _, extra := range []string{`"trials":2000,"quantiles":[0.5,0.9]`, `"tolerance":0.05`} {
+		body := func(procs int) string {
+			return fmt.Sprintf(`{"kind":"lu","k":4,"procs":%d,"pfail":0.05,"seed":3,%s}`, procs, extra)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		code, big := post(t, ts, "/v1/schedule", body(huge))
+		runtime.ReadMemStats(&after)
+		if code != http.StatusOK {
+			t.Fatalf("procs=%d: %d %s", huge, code, big)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+			t.Fatalf("procs=%d allocated %d bytes", huge, alloc)
+		}
+		code, atN := post(t, ts, "/v1/schedule", body(n))
+		if code != http.StatusOK {
+			t.Fatalf("procs=%d: %d %s", n, code, atN)
+		}
+		type policy = map[string]any
+		strip := func(s string) (map[string]any, []float64) {
+			var doc map[string]any
+			if err := json.Unmarshal([]byte(normalizeTimes(s)), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var eff []float64
+			for _, p := range doc["policies"].([]any) {
+				eff = append(eff, p.(policy)["efficiency"].(float64))
+				delete(p.(policy), "efficiency")
+			}
+			if _, ok := doc["procs"]; !ok {
+				t.Fatalf("procs not echoed: %s", s)
+			}
+			delete(doc, "procs")
+			return doc, eff
+		}
+		bigDoc, bigEff := strip(big)
+		nDoc, nEff := strip(atN)
+		if !reflect.DeepEqual(bigDoc, nDoc) {
+			t.Fatalf("%s: procs=%d body differs from procs=%d:\n%s\n%s", extra, huge, n, big, atN)
+		}
+		if !strings.Contains(big, fmt.Sprintf(`"procs": %d`, huge)) {
+			t.Fatalf("requested procs not echoed: %s", big)
+		}
+		for i := range bigEff {
+			if got, want := bigEff[i]*huge, nEff[i]*float64(n); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("efficiency at procs=%d is %v, want %v·%d/%d", huge, bigEff[i], nEff[i], n, huge)
+			}
+		}
+	}
+	// Both counts share one schedule artifact per policy.
+	_, sub := post(t, ts, "/v1/graphs", `{"kind":"lu","k":4}`)
+	var subDoc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal([]byte(sub), &subDoc); err != nil {
+		t.Fatal(err)
+	}
+	_, info := get(t, ts, "/v1/graphs/"+subDoc.ID)
+	var infoDoc struct {
+		Cache struct {
+			Schedules int `json:"schedules"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal([]byte(info), &infoDoc); err != nil {
+		t.Fatal(err)
+	}
+	if infoDoc.Cache.Schedules != 2 {
+		t.Fatalf("want 2 cached schedule artifacts (one per policy), got %d", infoDoc.Cache.Schedules)
 	}
 }

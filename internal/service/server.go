@@ -1021,13 +1021,18 @@ func (s *Server) buildSchedule(ctx context.Context, e *Entry, model failure.Mode
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
+	// List scheduling never uses more processors than tasks, so every
+	// count past n shares the schedule, its artifacts and its Monte Carlo
+	// runs with procs = n; only the echoed procs and efficiency use the
+	// requested count.
+	procs := min(req.Procs, max(e.G.NumTasks(), 1))
 	for _, pol := range policies {
 		// Schedule freezing and estimator compilation are heavy; gate
 		// them. The Monte Carlo phase goes through the coalescers.
 		var warm *schedmc.Estimator
 		if err := s.heavy(ctx, func() error {
 			var err error
-			warm, err = e.ScheduleEstimatorContext(ctx, pol, req.Procs, model)
+			warm, err = e.ScheduleEstimatorContext(ctx, pol, procs, model)
 			if err != nil {
 				return reqErr(err, "%s", pol)
 			}
@@ -1040,7 +1045,7 @@ func (s *Server) buildSchedule(ctx context.Context, e *Entry, model failure.Mode
 			Policy:      string(pol),
 			Label:       pol.Label(),
 			FailureFree: fs.Makespan,
-			Efficiency:  fs.Efficiency(),
+			Efficiency:  fs.EfficiencyOn(req.Procs),
 			ChainEdges:  fs.ChainEdges,
 		}
 		if req.Trials > 0 || req.Tolerance != 0 {
@@ -1060,7 +1065,7 @@ func (s *Server) buildSchedule(ctx context.Context, e *Entry, model failure.Mode
 					return doc, errBadRequest("%s: %v", pol, err)
 				}
 				key := adaptiveKey{
-					sched: true, policy: pol, procs: req.Procs,
+					sched: true, policy: pol, procs: procs,
 					lambda: model.Lambda, mode: montecarlo.FullReexecution, seed: seed,
 				}
 				res, snap, err := s.coalesceAdaptive(ctx, e, key, run)
@@ -1088,7 +1093,7 @@ func (s *Server) buildSchedule(ctx context.Context, e *Entry, model failure.Mode
 					return doc, errBadRequest("%s: %v", pol, err)
 				}
 				key := fixedKey{
-					sched: true, policy: pol, procs: req.Procs,
+					sched: true, policy: pol, procs: procs,
 					lambda: model.Lambda, mode: montecarlo.FullReexecution,
 					seed: seed, trials: req.Trials, sketch: len(req.Quantiles) > 0,
 				}

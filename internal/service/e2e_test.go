@@ -253,6 +253,39 @@ func TestE2EServiceMatchesCLIs(t *testing.T) {
 		}
 	})
 
+	t.Run("estimate-adaptive-quantiles", func(t *testing.T) {
+		svc := httpPost(t, base+"/v1/estimate",
+			`{"kind":"lu","k":6,"pfail":0.01,"methods":"paper","seed":9,"tolerance":0.05,"target_quantile":0.9,"quantiles":[0.5,0.9]}`)
+		cli := runCLI(t, bin, "makespan", "-kind", "lu", "-k", "6", "-pfail", "0.01",
+			"-methods", "paper", "-seed", "9", "-tolerance", "0.05", "-target-quantile", "0.9",
+			"-quantiles", "0.5,0.9", "-format", "json")
+		if normalizeTimes(svc) != normalizeTimes(cli) {
+			t.Errorf("adaptive estimate differs from CLI:\nservice:\n%s\ncli:\n%s", svc, cli)
+		}
+	})
+
+	t.Run("schedule-adaptive", func(t *testing.T) {
+		svc := httpPost(t, base+"/v1/schedule",
+			`{"kind":"lu","k":6,"procs":3,"pfail":0.02,"seed":5,"tolerance":0.05}`)
+		cli := runCLI(t, bin, "schedsim", "-kind", "lu", "-k", "6", "-procs", "3", "-pfail", "0.02",
+			"-seed", "5", "-tolerance", "0.05", "-format", "json")
+		if normalizeTimes(svc) != normalizeTimes(cli) {
+			t.Errorf("adaptive schedule differs from CLI:\nservice:\n%s\ncli:\n%s", svc, cli)
+		}
+	})
+
+	t.Run("schedule-procs-past-tasks", func(t *testing.T) {
+		// LU k=4 has 30 tasks; every count past that shares procs = 30's
+		// schedule, with procs and efficiency echoing the request.
+		svc := httpPost(t, base+"/v1/schedule",
+			`{"kind":"lu","k":4,"procs":100,"pfail":0.01,"trials":1000,"seed":3}`)
+		cli := runCLI(t, bin, "schedsim", "-kind", "lu", "-k", "4", "-procs", "100", "-pfail", "0.01",
+			"-trials", "1000", "-seed", "3", "-format", "json")
+		if normalizeTimes(svc) != normalizeTimes(cli) {
+			t.Errorf("procs > tasks schedule differs from CLI:\nservice:\n%s\ncli:\n%s", svc, cli)
+		}
+	})
+
 	t.Run("submitted-graph-file", func(t *testing.T) {
 		// A DAG submitted as raw JSON must estimate exactly like
 		// `makespan -graph file.json`.

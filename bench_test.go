@@ -322,15 +322,20 @@ func BenchmarkFrozenEvalLU20(b *testing.B) {
 }
 
 // Before/after Monte Carlo kernels on the Table I workload: the fused
-// single-pass sampler (default) against the legacy two-pass v1 stream.
-// trials/sec is the headline throughput metric tracked by
-// scripts/bench.sh.
+// single-pass sampler against the v1 two-pass reference engine
+// (refMonteCarlo in parity_test.go). trials/sec is the headline
+// throughput metric tracked by scripts/bench.sh.
 func benchMCSampler(b *testing.B, legacy bool) {
 	g, m := table1Graph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := montecarlo.Config{Trials: benchTrials, Seed: 42, LegacySampler: legacy}
-		if _, err := montecarlo.Estimate(g, m, cfg); err != nil {
+		var err error
+		if legacy {
+			_, err = refMonteCarlo(g, m, montecarlo.FullReexecution, benchTrials, 42)
+		} else {
+			_, err = montecarlo.Estimate(g, m, montecarlo.Config{Trials: benchTrials, Seed: 42})
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,6 +40,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/experiments"
 	"repro/internal/linalg"
+	"repro/internal/query"
 	"repro/internal/report"
 	"repro/internal/schedmc"
 )
@@ -112,7 +113,7 @@ func main() {
 		return
 	}
 	if *sweep {
-		spec, err := sweepSpec(*sweepKind, *sweepK, *sweepPF)
+		spec, err := sweepSpec(*sweepKind, *sweepK, *sweepPF, *allM, &opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(2)
@@ -246,23 +247,29 @@ func parsePFails(pfails string) ([]float64, error) {
 	return out, nil
 }
 
-// sweepSpec resolves the sweep flags against the default LU k=10 sweep.
-func sweepSpec(kind string, k int, pfails string) (experiments.SweepSpec, error) {
-	spec := experiments.DefaultSweep()
-	if kind != "" {
-		spec.Fact = linalg.Factorization(kind)
+// sweepSpec maps the sweep flags onto the sweep query POST /v1/sweep
+// runs — same defaults, same checks — and fills opts from it.
+func sweepSpec(kind string, k int, pfails string, allMethods bool, opts *experiments.Options) (experiments.SweepSpec, error) {
+	def := experiments.DefaultSweep()
+	if kind == "" {
+		kind = string(def.Fact)
 	}
-	if k > 0 {
-		spec.K = k
+	if k <= 0 {
+		k = def.K
 	}
-	pfs, err := parsePFails(pfails)
-	if err != nil {
-		return spec, err
+	p := query.Sweep{Trials: opts.Trials, Seed: &opts.Seed}
+	if allMethods {
+		p.Methods = "all"
 	}
-	if pfs != nil {
-		spec.PFails = pfs
+	var err error
+	if p.PFails, err = parsePFails(pfails); err != nil {
+		return def, err
 	}
-	return spec, nil
+	if err := p.Validate(); err != nil {
+		return def, err
+	}
+	*opts = p.Options(*opts)
+	return p.Spec(kind, k), nil
 }
 
 // schedSpec resolves the schedule-sweep flags against the default LU

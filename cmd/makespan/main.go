@@ -38,38 +38,25 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"repro/internal/artifact"
-	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/experiments"
-	"repro/internal/failure"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
+	"repro/internal/query"
 	"repro/internal/report"
 )
 
-// options collects the CLI flags; run is kept flag-free so tests drive it
-// directly.
+// options collects the CLI flags — the estimate query's straight into
+// the query.Estimate the service decodes POST /v1/estimate into; run is
+// kept flag-free so tests drive it directly.
 type options struct {
 	kind      string
 	k         int
 	path      string
-	pfail     float64
-	lambda    float64
-	trials    int
 	seed      uint64
-	atoms     int
-	methods   string
-	bounds    bool
 	quantiles string
 	format    string
-
-	tolerance      float64
-	targetQuantile float64
-	confidence     float64
-	maxTrials      int
+	q         query.Estimate
 }
 
 func main() {
@@ -77,21 +64,21 @@ func main() {
 	flag.StringVar(&o.kind, "kind", "cholesky", "generator: cholesky, lu or qr (ignored with -graph)")
 	flag.IntVar(&o.k, "k", 8, "tile count for the generator")
 	flag.StringVar(&o.path, "graph", "", "JSON graph file (overrides -kind/-k)")
-	flag.Float64Var(&o.pfail, "pfail", 0.001, "failure probability of an average-weight task")
-	flag.Float64Var(&o.lambda, "lambda", 0, "error rate λ (overrides -pfail when > 0)")
-	flag.IntVar(&o.trials, "trials", montecarlo.DefaultTrials, "Monte Carlo trials (0 to skip MC)")
+	flag.Float64Var(&o.q.PFail, "pfail", 0.001, "failure probability of an average-weight task")
+	flag.Float64Var(&o.q.Lambda, "lambda", 0, "error rate λ (overrides -pfail when > 0)")
+	flag.IntVar(&o.q.Trials, "trials", montecarlo.DefaultTrials, "Monte Carlo trials (0 to skip MC)")
 	flag.Uint64Var(&o.seed, "seed", 42, "Monte Carlo seed")
-	flag.IntVar(&o.atoms, "dodin-atoms", 0, "Dodin distribution support cap (0 = default 64, -1 = unlimited)")
-	flag.StringVar(&o.methods, "methods", "all", "comma list of methods, 'paper' or 'all'")
-	flag.BoolVar(&o.bounds, "bounds", false, "print the analytic [Jensen, Kleindorfer] bracket")
+	flag.IntVar(&o.q.DodinAtoms, "dodin-atoms", 0, "Dodin distribution support cap (0 = default 64, -1 = unlimited)")
+	flag.StringVar(&o.q.Methods, "methods", "all", "comma list of methods, 'paper' or 'all'")
+	flag.BoolVar(&o.q.Bounds, "bounds", false, "print the analytic [Jensen, Kleindorfer] bracket")
 	flag.StringVar(&o.quantiles, "quantiles", "", "comma list of Monte Carlo quantiles in (0,1), e.g. 0.5,0.95")
 	flag.StringVar(&o.format, "format", "text", "output format: text or json")
-	flag.Float64Var(&o.tolerance, "tolerance", 0, "adaptive MC: stop when the CI half-width is within this (excludes -trials)")
-	flag.Float64Var(&o.targetQuantile, "target-quantile", 0, "adaptive MC: watch this quantile's CI instead of the mean's")
-	flag.Float64Var(&o.confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
-	flag.IntVar(&o.maxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
+	flag.Float64Var(&o.q.Tolerance, "tolerance", 0, "adaptive MC: stop when the CI half-width is within this (excludes -trials)")
+	flag.Float64Var(&o.q.TargetQuantile, "target-quantile", 0, "adaptive MC: watch this quantile's CI instead of the mean's")
+	flag.Float64Var(&o.q.Confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
+	flag.IntVar(&o.q.MaxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
 	flag.Parse()
-	if o.tolerance != 0 {
+	if o.q.Tolerance != 0 {
 		// -trials has a nonzero default; only an explicit -trials should
 		// conflict with -tolerance (the engine rejects the combination).
 		explicit := false
@@ -101,7 +88,7 @@ func main() {
 			}
 		})
 		if !explicit {
-			o.trials = 0
+			o.q.Trials = 0
 		}
 	}
 	// Ctrl-C / SIGTERM cancels the run context: artifact builds stop
@@ -122,15 +109,33 @@ func run(ctx context.Context, o options) error {
 	if o.format != "text" && o.format != "json" {
 		return fmt.Errorf("unknown -format %q (text or json)", o.format)
 	}
+	// -pfail is taken as given: unlike an omitted JSON pfail, -pfail 0
+	// means λ = 0, so the JSON default (FillDefaults) is not applied.
+	p := o.q
+	p.Seed = &o.seed
+	var err error
+	if p.Quantiles, err = report.ParseQuantiles(o.quantiles); err != nil {
+		return err
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	g, err := loadGraph(o.kind, o.k, o.path)
 	if err != nil {
 		return err
 	}
-	model, err := buildModel(g, o.pfail, o.lambda)
+	model, err := p.Model(g)
 	if err != nil {
 		return err
 	}
-	est, err := buildEstimate(ctx, g, model, o)
+	// A process-local artifact store resolves the same rules the
+	// makespand registry does, and query.Estimate assembles the document
+	// for both, so `-format json` is the service's response byte for byte.
+	lg, err := query.NewLocal(ctx, g)
+	if err != nil {
+		return err
+	}
+	est, err := p.Run(ctx, lg, model, query.Direct(0))
 	if err != nil {
 		return err
 	}
@@ -138,142 +143,6 @@ func run(ctx context.Context, o options) error {
 		return report.WriteEstimateJSON(os.Stdout, est)
 	}
 	return report.WriteEstimateText(os.Stdout, est)
-}
-
-// buildEstimate assembles the estimate document through a process-local
-// artifact store — the same resolver the makespand service runs on, so
-// the CLI and the service share one assembly path: the frozen graph, the
-// Dodin reduction plan (recorded once, replayed per evaluation) and the
-// compiled Monte Carlo estimator are all store rules here and there.
-// Within one invocation everything is a cold build; the value is that
-// there is exactly one construction path to keep byte-identical, which
-// the e2e suite pins CLI-vs-service.
-func buildEstimate(ctx context.Context, g *dag.Graph, model failure.Model, o options) (report.Estimate, error) {
-	st := artifact.NewStore(0)
-	ga, _, err := st.GraphContext(ctx, g)
-	if err != nil {
-		return report.Estimate{}, err
-	}
-	g, d := ga.G, ga.D0
-	qs, err := report.ParseQuantiles(o.quantiles)
-	if err != nil {
-		return report.Estimate{}, err
-	}
-	if o.trials == 0 && o.tolerance == 0 {
-		if len(qs) > 0 {
-			return report.Estimate{}, fmt.Errorf("-quantiles needs Monte Carlo trials (-trials or -tolerance)")
-		}
-		if o.maxTrials != 0 || o.targetQuantile != 0 || o.confidence != 0 {
-			return report.Estimate{}, fmt.Errorf("-max-trials, -target-quantile and -confidence need -tolerance > 0")
-		}
-	}
-	est := report.Estimate{
-		Graph: report.GraphInfo{Tasks: g.NumTasks(), Edges: g.NumEdges(), MeanWeight: g.MeanWeight()},
-		Model: report.ModelInfo{
-			Lambda:        model.Lambda,
-			PFailMeanTask: model.PFail(g.MeanWeight()),
-			MTBF:          model.MTBF(),
-		},
-		FailureFree: d,
-	}
-	if o.bounds {
-		sw := ga.Sweeper()
-		lo, hi, err := sw.Bracket(model, o.atoms)
-		ga.PutSweeper(sw)
-		if err != nil {
-			return report.Estimate{}, fmt.Errorf("bounds: %w", err)
-		}
-		est.Bracket = &report.BracketInfo{Lower: lo, Upper: hi}
-	}
-	methods, err := experiments.ParseMethods(o.methods)
-	if err != nil {
-		return report.Estimate{}, err
-	}
-	for _, m := range methods {
-		var v float64
-		var dt time.Duration
-		switch m {
-		case experiments.MethodDodin:
-			plan, err := st.PlanContext(ctx, ga, o.atoms, model)
-			if err != nil {
-				return report.Estimate{}, fmt.Errorf("%s: %w", m, err)
-			}
-			t0 := time.Now()
-			res, err := plan.Run(model)
-			if err != nil {
-				return report.Estimate{}, fmt.Errorf("%s: %w", m, err)
-			}
-			v, dt = res.Estimate, time.Since(t0)
-		case experiments.MethodFirstOrder:
-			pe := ga.PathEvaluator()
-			t0 := time.Now()
-			res := core.FirstOrderWith(pe, model)
-			v, dt = res.Estimate, time.Since(t0)
-			ga.PutPathEvaluator(pe)
-		default:
-			v, dt, err = experiments.Estimate(m, g, model, o.atoms)
-			if err != nil {
-				return report.Estimate{}, fmt.Errorf("%s: %w", m, err)
-			}
-		}
-		est.Methods = append(est.Methods, report.MethodEstimate{Method: string(m), Estimate: v, Time: dt})
-	}
-	if o.trials == 0 && o.tolerance == 0 {
-		return est, nil
-	}
-	// Negative trials and malformed adaptive knobs flow through so the
-	// engine's config validation reports them instead of being silently
-	// treated as "skip MC".
-	cfg := montecarlo.Config{
-		Trials:         o.trials,
-		Seed:           o.seed,
-		Tolerance:      o.tolerance,
-		TargetQuantile: o.targetQuantile,
-		Confidence:     o.confidence,
-		MaxTrials:      o.maxTrials,
-	}
-	t0 := time.Now()
-	warm, err := st.EstimatorContext(ctx, ga, model, montecarlo.FullReexecution)
-	if err != nil {
-		return report.Estimate{}, err
-	}
-	mcEst, err := warm.WithConfig(cfg)
-	if err != nil {
-		return report.Estimate{}, err
-	}
-	var mc *report.MonteCarloInfo
-	if o.tolerance != 0 {
-		res, snap, err := mcEst.ResumeAdaptiveContext(ctx, nil, nil)
-		if err != nil {
-			return report.Estimate{}, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-		mc.Adaptive = report.AdaptiveInfoFrom(res, o.tolerance, o.targetQuantile, o.confidence)
-		if len(qs) > 0 {
-			sketch := snap.Sketch()
-			for _, q := range qs {
-				mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-			}
-		}
-	} else if len(qs) > 0 {
-		res, sketch, err := mcEst.RunQuantilesContext(ctx)
-		if err != nil {
-			return report.Estimate{}, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-		for _, q := range qs {
-			mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-		}
-	} else {
-		res, err := mcEst.RunContext(ctx)
-		if err != nil {
-			return report.Estimate{}, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-	}
-	mc.Time = time.Since(t0)
-	est.MonteCarlo = mc
-	return est, nil
 }
 
 func loadGraph(kind string, k int, path string) (*dag.Graph, error) {
@@ -286,11 +155,4 @@ func loadGraph(kind string, k int, path string) (*dag.Graph, error) {
 		return dag.ReadJSON(f)
 	}
 	return linalg.Generate(linalg.Factorization(kind), k, linalg.KernelTimes{})
-}
-
-func buildModel(g *dag.Graph, pfail, lambda float64) (failure.Model, error) {
-	if lambda > 0 {
-		return failure.New(lambda)
-	}
-	return failure.FromPfail(pfail, g.MeanWeight())
 }

@@ -2,11 +2,15 @@ package main
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/failure"
+	"repro/internal/query"
 	"repro/internal/report"
 )
 
@@ -43,47 +47,69 @@ func TestLoadGraphGeneratorAndFile(t *testing.T) {
 	}
 }
 
+// The failure model built from the flags: -lambda wins when positive,
+// otherwise -pfail is calibrated on the mean weight — and -pfail 0 is
+// λ = 0, not the JSON requests' default pfail.
 func TestBuildModel(t *testing.T) {
 	g, _ := loadGraph("lu", 4, "")
-	m, err := buildModel(g, 0.01, 0)
+	model := func(pfail, lambda float64) (failure.Model, error) {
+		o := options{q: query.Estimate{PFail: pfail, Lambda: lambda}}
+		return o.q.Model(g)
+	}
+	m, err := model(0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Lambda <= 0 {
 		t.Fatalf("λ = %v", m.Lambda)
 	}
-	m2, err := buildModel(g, 0.01, 0.5)
+	m2, err := model(0.01, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.Lambda != 0.5 {
 		t.Fatalf("explicit λ ignored: %v", m2.Lambda)
 	}
-	if _, err := buildModel(g, 1.5, 0); err == nil {
+	if m0, err := model(0, 0); err != nil || m0.Lambda != 0 {
+		t.Fatalf("-pfail 0: λ = %v, err = %v; want λ = 0", m0.Lambda, err)
+	}
+	if _, err := model(1.5, 0); err == nil {
 		t.Fatal("bad pfail accepted")
 	}
 }
 
+// A negative or NaN -lambda is rejected like POST /v1/estimate rejects
+// it, instead of silently falling back to -pfail.
+func TestRunRejectsBadLambda(t *testing.T) {
+	for _, lambda := range []float64{-1, math.NaN(), math.Inf(1)} {
+		o := options{kind: "lu", k: 4, format: "json", q: query.Estimate{PFail: 0.001, Methods: "paper", Lambda: lambda}}
+		err := run(context.Background(), o)
+		if err == nil || !strings.Contains(err.Error(), "bad lambda") {
+			t.Errorf("-lambda %v: err = %v, want the bad lambda rejection", lambda, err)
+		}
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
-	base := options{kind: "cholesky", k: 3, pfail: 0.01, seed: 1, methods: "paper", format: "text"}
+	base := options{kind: "cholesky", k: 3, seed: 1, format: "text", q: query.Estimate{PFail: 0.01, Methods: "paper"}}
 	// Full CLI path with a tiny workload and no Monte Carlo.
 	o := base
-	o.bounds = true
+	o.q.Bounds = true
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o = base
-	o.trials, o.methods = 500, "all"
+	o.q.Trials, o.q.Methods = 500, "all"
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o = base
-	o.methods = "First Order,Sculli"
+	o.q.Methods = "First Order,Sculli"
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o = base
-	o.methods = "bogus"
+	o.q.Methods = "bogus"
 	if err := run(context.Background(), o); err == nil {
 		t.Fatal("bogus method accepted")
 	}
@@ -93,7 +119,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("bad format accepted")
 	}
 	o = base
-	o.format, o.trials, o.quantiles = "json", 500, "0.5,0.95"
+	o.format, o.q.Trials, o.quantiles = "json", 500, "0.5,0.95"
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +129,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("quantiles without trials accepted")
 	}
 	o = base
-	o.trials, o.quantiles = 500, "1.5"
+	o.q.Trials, o.quantiles = 500, "1.5"
 	if err := run(context.Background(), o); err == nil {
 		t.Fatal("out-of-range quantile accepted")
 	}

@@ -4,8 +4,7 @@
 // schedule into its schedule-DAG form (internal/schedmc) and runs the
 // fused Monte Carlo engine over it: the same chunked, bit-reproducible
 // sampling the unbounded-processor estimators use, tens of times faster
-// than the per-trial re-scheduling loop it replaces (which remains
-// available behind -dynamic for A/B comparisons).
+// than the per-trial re-scheduling loop it replaces.
 //
 // Usage:
 //
@@ -17,10 +16,10 @@
 // With -format json the document is emitted through internal/report —
 // the exact writer the makespand service uses, so output is
 // byte-identical to POST /v1/schedule for the same inputs (timing fields
-// aside). All flags are validated up front: nonsensical processor
-// counts, negative trial counts, unknown kinds or policies are
-// configuration errors before any work starts, matching the
-// montecarlo.Config convention.
+// aside): both assemble it through internal/query. All flags are
+// validated up front: nonsensical processor counts, negative trial
+// counts, unknown kinds or policies are configuration errors before any
+// work starts, with the service's messages.
 package main
 
 import (
@@ -29,72 +28,60 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
-	"time"
 
-	"repro/internal/artifact"
-	"repro/internal/dag"
 	"repro/internal/failure"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
+	"repro/internal/query"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/schedmc"
 )
 
-// options collects the CLI flags; run is kept flag-free so tests drive
-// it directly.
+// options collects the CLI flags — the schedule query's straight into
+// the query.Schedule the service decodes POST /v1/schedule into; run is
+// kept flag-free so tests drive it directly.
 type options struct {
 	kind        string
 	k           int
-	procs       int
-	pfail       float64
-	lambda      float64
-	trials      int
 	seed        uint64
-	policies    string
 	quantiles   string
 	workers     int
 	format      string
 	gantt       bool
-	dynamic     bool
 	verifyFrac  float64
 	verifyFixed float64
 	replication string
-
-	tolerance      float64
-	targetQuantile float64
-	confidence     float64
-	maxTrials      int
+	q           query.Schedule
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.kind, "kind", "lu", "generator: cholesky, lu or qr")
 	flag.IntVar(&o.k, "k", 8, "tile count")
-	flag.IntVar(&o.procs, "procs", 4, "processor count (>= 1)")
-	flag.Float64Var(&o.pfail, "pfail", 0.01, "failure probability of an average task")
-	flag.Float64Var(&o.lambda, "lambda", 0, "error rate λ (overrides -pfail when > 0)")
-	flag.IntVar(&o.trials, "trials", 2000, "simulation trials per policy (0 = engine default 300,000)")
+	flag.IntVar(&o.q.Procs, "procs", 4, "processor count (>= 1)")
+	flag.Float64Var(&o.q.PFail, "pfail", 0.01, "failure probability of an average task")
+	flag.Float64Var(&o.q.Lambda, "lambda", 0, "error rate λ (overrides -pfail when > 0)")
+	flag.IntVar(&o.q.Trials, "trials", 2000, "simulation trials per policy (0 = engine default 300,000)")
 	flag.Uint64Var(&o.seed, "seed", 42, "simulation seed")
-	flag.StringVar(&o.policies, "policies", "both", "priority policies: cp, fo or both")
+	flag.StringVar(&o.q.Policies, "policies", "both", "priority policies: cp, fo or both")
 	flag.StringVar(&o.quantiles, "quantiles", "", "comma list of makespan quantiles in (0,1), e.g. 0.5,0.99")
 	flag.IntVar(&o.workers, "workers", 0, "Monte Carlo workers (0 = GOMAXPROCS; results never depend on it)")
 	flag.StringVar(&o.format, "format", "text", "output format: text or json")
 	flag.BoolVar(&o.gantt, "gantt", false, "draw an ASCII Gantt chart of each failure-free schedule")
-	flag.BoolVar(&o.dynamic, "dynamic", false, "use the pre-PR5 per-trial re-scheduling loop (slow; for A/B comparison)")
 	flag.Float64Var(&o.verifyFrac, "verify-frac", 0, "verification cost as a fraction of each task's weight")
 	flag.Float64Var(&o.verifyFixed, "verify-fixed", 0, "fixed verification cost added to each non-zero task")
 	flag.StringVar(&o.replication, "replication", "", "task replication: parallel or serial (default none)")
-	flag.Float64Var(&o.tolerance, "tolerance", 0, "adaptive MC: stop when the CI half-width is within this (excludes -trials)")
-	flag.Float64Var(&o.targetQuantile, "target-quantile", 0, "adaptive MC: watch this quantile's CI instead of the mean's")
-	flag.Float64Var(&o.confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
-	flag.IntVar(&o.maxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
+	flag.Float64Var(&o.q.Tolerance, "tolerance", 0, "adaptive MC: stop when the CI half-width is within this (excludes -trials)")
+	flag.Float64Var(&o.q.TargetQuantile, "target-quantile", 0, "adaptive MC: watch this quantile's CI instead of the mean's")
+	flag.Float64Var(&o.q.Confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
+	flag.IntVar(&o.q.MaxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
 	flag.Parse()
-	if o.tolerance != 0 {
+	if o.q.Tolerance != 0 {
 		// -trials has a nonzero default; only an explicit -trials should
 		// conflict with -tolerance (the engine rejects the combination).
 		explicit := false
@@ -104,7 +91,7 @@ func main() {
 			}
 		})
 		if !explicit {
-			o.trials = 0
+			o.q.Trials = 0
 		}
 	}
 	// Ctrl-C / SIGTERM cancels the run context: artifact builds stop
@@ -121,60 +108,29 @@ func main() {
 	}
 }
 
-// validate rejects nonsensical configurations before any graph work,
-// mirroring montecarlo.Config: zero means "default" where a default
-// exists, negatives and unknown enum values are errors.
-func validate(o options) (policies []schedmc.Policy, qs []float64, over schedmc.Overheads, err error) {
+// validate checks the flags only the CLI has, then completes the
+// schedule query (seed, quantiles) and validates it. -trials 0 selects
+// the engine's 300,000 trials, where the service's trials 0 skips Monte
+// Carlo.
+func validate(o options) (p query.Schedule, over schedmc.Overheads, err error) {
 	if o.format != "text" && o.format != "json" {
-		return nil, nil, over, fmt.Errorf("unknown -format %q (text or json)", o.format)
+		return p, over, fmt.Errorf("unknown -format %q (text or json)", o.format)
 	}
-	known := false
-	for _, f := range linalg.All() {
-		if string(f) == o.kind {
-			known = true
-		}
-	}
-	if !known {
-		return nil, nil, over, fmt.Errorf("unknown -kind %q (cholesky, lu or qr)", o.kind)
+	if !slices.Contains(linalg.All(), linalg.Factorization(o.kind)) {
+		return p, over, fmt.Errorf("unknown -kind %q (cholesky, lu or qr)", o.kind)
 	}
 	if o.k < 1 {
-		return nil, nil, over, fmt.Errorf("-k must be >= 1, got %d", o.k)
-	}
-	if o.procs < 1 {
-		return nil, nil, over, fmt.Errorf("-procs must be >= 1, got %d", o.procs)
-	}
-	if o.trials < 0 {
-		return nil, nil, over, fmt.Errorf("negative -trials %d (0 selects the default %d)", o.trials, montecarlo.DefaultTrials)
+		return p, over, fmt.Errorf("-k must be >= 1, got %d", o.k)
 	}
 	if o.workers < 0 {
-		return nil, nil, over, fmt.Errorf("negative -workers %d (0 selects GOMAXPROCS)", o.workers)
-	}
-	if o.pfail < 0 || o.pfail >= 1 || math.IsNaN(o.pfail) {
-		return nil, nil, over, fmt.Errorf("-pfail %g outside [0,1)", o.pfail)
-	}
-	if o.lambda < 0 || math.IsNaN(o.lambda) || math.IsInf(o.lambda, 0) {
-		return nil, nil, over, fmt.Errorf("bad -lambda %g (must be a finite rate >= 0)", o.lambda)
-	}
-	policies, err = schedmc.ParsePolicies(o.policies)
-	if err != nil {
-		return nil, nil, over, err
-	}
-	qs, err = report.ParseQuantiles(o.quantiles)
-	if err != nil {
-		return nil, nil, over, err
-	}
-	if len(qs) > 0 && o.dynamic {
-		return nil, nil, over, fmt.Errorf("-quantiles needs the frozen-schedule engine (drop -dynamic)")
-	}
-	if o.tolerance != 0 && o.dynamic {
-		return nil, nil, over, fmt.Errorf("-tolerance needs the frozen-schedule engine (drop -dynamic)")
+		return p, over, fmt.Errorf("negative -workers %d (0 selects GOMAXPROCS)", o.workers)
 	}
 	if o.gantt && o.format == "json" {
-		return nil, nil, over, fmt.Errorf("-gantt draws on the text output; drop it or use -format text")
+		return p, over, fmt.Errorf("-gantt draws on the text output; drop it or use -format text")
 	}
 	over.Verification = failure.Verification{Fraction: o.verifyFrac, Fixed: o.verifyFixed}
 	if err := over.Verification.Validate(); err != nil {
-		return nil, nil, over, err
+		return p, over, err
 	}
 	switch o.replication {
 	case "":
@@ -183,13 +139,21 @@ func validate(o options) (policies []schedmc.Policy, qs []float64, over schedmc.
 	case "serial":
 		over.Replication = &failure.Replication{Serial: true}
 	default:
-		return nil, nil, over, fmt.Errorf("unknown -replication %q (parallel or serial)", o.replication)
+		return p, over, fmt.Errorf("unknown -replication %q (parallel or serial)", o.replication)
 	}
-	return policies, qs, over, nil
+	p = o.q
+	p.Seed = &o.seed
+	if p.Quantiles, err = report.ParseQuantiles(o.quantiles); err != nil {
+		return p, over, err
+	}
+	if p.Trials == 0 && p.Tolerance == 0 {
+		p.Trials = montecarlo.DefaultTrials
+	}
+	return p, over, p.Validate()
 }
 
 func run(ctx context.Context, o options, out io.Writer) error {
-	policies, qs, over, err := validate(o)
+	p, over, err := validate(o)
 	if err != nil {
 		return err
 	}
@@ -197,7 +161,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	model, err := buildModel(g, o.pfail, o.lambda)
+	model, err := p.Model(g)
 	if err != nil {
 		return err
 	}
@@ -205,34 +169,16 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// One process-local artifact store: the frozen schedule-DAG estimator
-	// per (policy, procs, λ) is the same store rule the makespand service
-	// resolves, so both front ends share one construction path (the e2e
-	// suite pins their outputs byte-identical).
-	st := artifact.NewStore(0)
-	ga, _, err := st.GraphContext(ctx, tg)
+	// A process-local artifact store resolves the same frozen-schedule
+	// rule the makespand registry does, and query.Schedule assembles the
+	// document for both (the e2e suite pins them byte-identical).
+	lg, err := query.NewLocal(ctx, tg)
 	if err != nil {
 		return err
 	}
-	tg, d := ga.G, ga.D0
-	doc := report.Schedule{
-		Graph: report.GraphInfo{Tasks: tg.NumTasks(), Edges: tg.NumEdges(), MeanWeight: tg.MeanWeight()},
-		Model: report.ModelInfo{
-			Lambda:        tm.Lambda,
-			PFailMeanTask: tm.PFail(tg.MeanWeight()),
-			MTBF:          tm.MTBF(),
-		},
-		Procs:        o.procs,
-		CriticalPath: d,
-	}
-	var gantts []sched.Schedule
-	for _, pol := range policies {
-		p, base, err := runPolicy(ctx, st, ga, pol, tm, qs, o)
-		if err != nil {
-			return err
-		}
-		doc.Policies = append(doc.Policies, p)
-		gantts = append(gantts, base)
+	doc, err := p.Run(ctx, lg, tm, query.Direct(o.workers))
+	if err != nil {
+		return err
 	}
 	if o.format == "json" {
 		return report.WriteScheduleJSON(out, doc)
@@ -241,111 +187,16 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	if o.gantt {
-		for i, p := range doc.Policies {
-			fmt.Fprintf(out, "\n%s:\n", p.Label)
-			if err := sched.WriteGantt(out, tg, gantts[i], 100); err != nil {
+		for _, pol := range doc.Policies {
+			warm, err := lg.ScheduleEstimatorContext(ctx, schedmc.Policy(pol.Policy), p.Procs, tm)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "\n%s:\n", pol.Label)
+			if err := sched.WriteGantt(out, lg.Artifact().G, warm.Schedule().Base, 100); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// runPolicy evaluates one policy: resolve the frozen schedule and its
-// compiled estimator through the artifact store, estimate the expected
-// makespan (frozen engine by default, the dynamic re-scheduling loop
-// behind -dynamic) and assemble the report entry.
-func runPolicy(ctx context.Context, st *artifact.Store, ga *artifact.Graph, pol schedmc.Policy, model failure.Model, qs []float64, o options) (report.SchedulePolicy, sched.Schedule, error) {
-	warm, err := st.ScheduleEstimatorContext(ctx, ga, pol, o.procs, model)
-	if err != nil {
-		return report.SchedulePolicy{}, sched.Schedule{}, err
-	}
-	fs := warm.Schedule()
-	p := report.SchedulePolicy{
-		Policy:      string(pol),
-		Label:       pol.Label(),
-		FailureFree: fs.Makespan,
-		Efficiency:  fs.Efficiency(),
-		ChainEdges:  fs.ChainEdges,
-	}
-	if o.dynamic {
-		prio, err := pol.Priorities(ga.G, model)
-		if err != nil {
-			return p, fs.Base, err
-		}
-		trials := o.trials
-		if trials == 0 {
-			trials = montecarlo.DefaultTrials
-		}
-		t0 := time.Now()
-		res, err := sched.ExpectedMakespan(ga.G, prio, o.procs, model, trials, o.seed)
-		if err != nil {
-			return p, fs.Base, err
-		}
-		p.MonteCarlo = &report.MonteCarloInfo{
-			Mean:   res.Mean,
-			CI95:   res.CI95,
-			StdDev: res.StdDev,
-			StdErr: res.StdErr,
-			Min:    res.Min,
-			Max:    res.Max,
-			Trials: res.Trials,
-			Seed:   o.seed,
-			Time:   time.Since(t0),
-		}
-		return p, fs.Base, nil
-	}
-	e, err := warm.WithConfig(schedmc.Config{
-		Trials:         o.trials,
-		Seed:           o.seed,
-		Workers:        o.workers,
-		Tolerance:      o.tolerance,
-		TargetQuantile: o.targetQuantile,
-		Confidence:     o.confidence,
-		MaxTrials:      o.maxTrials,
-	})
-	if err != nil {
-		return p, fs.Base, err
-	}
-	t0 := time.Now()
-	var mc *report.MonteCarloInfo
-	if o.tolerance != 0 {
-		res, snap, err := e.ResumeAdaptiveContext(ctx, nil, nil)
-		if err != nil {
-			return p, fs.Base, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-		mc.Adaptive = report.AdaptiveInfoFrom(res, o.tolerance, o.targetQuantile, o.confidence)
-		if len(qs) > 0 {
-			sketch := snap.Sketch()
-			for _, q := range qs {
-				mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-			}
-		}
-	} else if len(qs) > 0 {
-		res, sketch, err := e.RunQuantilesContext(ctx)
-		if err != nil {
-			return p, fs.Base, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-		for _, q := range qs {
-			mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-		}
-	} else {
-		res, err := e.RunContext(ctx)
-		if err != nil {
-			return p, fs.Base, err
-		}
-		mc = report.MonteCarloInfoFrom(res, o.seed)
-	}
-	mc.Time = time.Since(t0)
-	p.MonteCarlo = mc
-	return p, fs.Base, nil
-}
-
-func buildModel(g *dag.Graph, pfail, lambda float64) (failure.Model, error) {
-	if lambda > 0 {
-		return failure.New(lambda)
-	}
-	return failure.FromPfail(pfail, g.MeanWeight())
 }

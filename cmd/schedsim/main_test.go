@@ -3,13 +3,16 @@ package main
 import (
 	"context"
 	"io"
+	"math"
 	"testing"
+
+	"repro/internal/query"
 )
 
 func baseOptions() options {
 	return options{
-		kind: "lu", k: 4, procs: 2, pfail: 0.01,
-		trials: 50, seed: 1, policies: "both", format: "text",
+		kind: "lu", k: 4, seed: 1, format: "text",
+		q: query.Schedule{Procs: 2, PFail: 0.01, Trials: 50, Policies: "both"},
 	}
 }
 
@@ -25,14 +28,6 @@ func TestRunJSONAndQuantiles(t *testing.T) {
 	o := baseOptions()
 	o.format = "json"
 	o.quantiles = "0.5, 0.99" // spaces are tolerated, like every list flag
-	if err := run(context.Background(), o, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunDynamicEngine(t *testing.T) {
-	o := baseOptions()
-	o.dynamic = true
 	if err := run(context.Background(), o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +53,19 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}{
 		{"unknown kind", func(o *options) { o.kind = "bogus" }},
 		{"zero k", func(o *options) { o.k = 0 }},
-		{"zero procs", func(o *options) { o.procs = 0 }},
-		{"negative procs", func(o *options) { o.procs = -3 }},
-		{"negative trials", func(o *options) { o.trials = -1 }},
+		{"zero procs", func(o *options) { o.q.Procs = 0 }},
+		{"negative procs", func(o *options) { o.q.Procs = -3 }},
+		{"negative trials", func(o *options) { o.q.Trials = -1 }},
 		{"negative workers", func(o *options) { o.workers = -2 }},
-		{"pfail one", func(o *options) { o.pfail = 1 }},
-		{"pfail oversized", func(o *options) { o.pfail = 1.5 }},
-		{"negative pfail", func(o *options) { o.pfail = -0.1 }},
-		{"unknown policy", func(o *options) { o.policies = "heft" }},
+		{"pfail one", func(o *options) { o.q.PFail = 1 }},
+		{"pfail oversized", func(o *options) { o.q.PFail = 1.5 }},
+		{"negative pfail", func(o *options) { o.q.PFail = -0.1 }},
+		{"unknown policy", func(o *options) { o.q.Policies = "heft" }},
 		{"unknown format", func(o *options) { o.format = "xml" }},
 		{"bad quantile", func(o *options) { o.quantiles = "1.5" }},
-		{"negative lambda", func(o *options) { o.lambda = -0.05 }},
+		{"negative lambda", func(o *options) { o.q.Lambda = -0.05 }},
 		{"gantt with json", func(o *options) { o.gantt = true; o.format = "json" }},
-		{"quantiles with dynamic", func(o *options) { o.quantiles = "0.5"; o.dynamic = true }},
+		{"NaN lambda", func(o *options) { o.q.Lambda = math.NaN() }},
 		{"negative verify fraction", func(o *options) { o.verifyFrac = -0.5 }},
 		{"unknown replication", func(o *options) { o.replication = "triple" }},
 	}

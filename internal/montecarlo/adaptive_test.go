@@ -244,7 +244,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{"nan tolerance", Config{Tolerance: math.NaN()}, "Tolerance"},
 		{"inf tolerance", Config{Tolerance: math.Inf(1)}, "Tolerance"},
 		{"trials and tolerance", Config{Tolerance: 0.1, Trials: 1000}, "mutually exclusive"},
-		{"legacy and tolerance", Config{Tolerance: 0.1, LegacySampler: true}, "LegacySampler"},
 		{"negative maxtrials", Config{Tolerance: 0.1, MaxTrials: -1}, "MaxTrials"},
 		{"maxtrials without tolerance", Config{MaxTrials: 100}, "MaxTrials"},
 		{"quantile without tolerance", Config{TargetQuantile: 0.5}, "TargetQuantile"},

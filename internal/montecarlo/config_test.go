@@ -38,34 +38,3 @@ func TestNegativeConfigRejected(t *testing.T) {
 		t.Fatalf("zero Trials resolved to %d", e.cfg.Trials)
 	}
 }
-
-// The LegacySampler partitions one stream per worker, so its Result
-// depends on Workers at the same Seed — the caveat documented on the
-// field. The default sampler's chunked streams are worker-independent;
-// both properties are regression-pinned here so the distribution-kernel
-// rewrite (or any later change) cannot silently alter either.
-func TestLegacySamplerWorkerDependenceVsDefaultIndependence(t *testing.T) {
-	g, err := linalg.LU(6, linalg.KernelTimes{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := failure.FromPfail(0.01, g.MeanWeight())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int, legacy bool) Result {
-		r, err := Estimate(g, m, Config{Trials: 20000, Seed: 7, Workers: workers, LegacySampler: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	l1, l4 := run(1, true), run(4, true)
-	if l1.Mean == l4.Mean {
-		t.Fatal("legacy sampler unexpectedly worker-independent; update the Config.LegacySampler docs")
-	}
-	d1, d4 := run(1, false), run(4, false)
-	if d1 != d4 {
-		t.Fatalf("default sampler depends on Workers: %+v vs %+v", d1, d4)
-	}
-}

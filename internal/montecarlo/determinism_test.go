@@ -93,52 +93,23 @@ func TestRunSamplesDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The legacy sampler stays available behind the flag and keeps its v1
-// semantics: reproducible per (Seed, Workers) pair.
-func TestLegacySamplerReproducible(t *testing.T) {
-	g := dag.Diamond(1, 5, 3, 2)
-	m := failure.Model{Lambda: 0.2}
-	cfg := Config{Trials: 20000, Seed: 42, Workers: 2, Mode: FullReexecution, LegacySampler: true}
-	a, err := Estimate(g, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Estimate(g, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("legacy sampler not reproducible: %+v vs %+v", a, b)
-	}
-	// And it agrees statistically with the fused sampler.
-	fused, err := Estimate(g, m, Config{Trials: 20000, Seed: 42, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fused.Mean-a.Mean) > fused.CI95+a.CI95 {
-		t.Fatalf("fused %v vs legacy %v beyond joint CI", fused.Mean, a.Mean)
-	}
-}
-
 // The estimator is a snapshot: mutating the graph between NewEstimator
-// and Run must surface ErrStaleGraph (for both samplers) rather than
-// silently answering from the stale snapshot.
+// and Run must surface ErrStaleGraph rather than silently answering
+// from the stale snapshot.
 func TestRunRejectsStaleGraph(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		g := dag.Diamond(1, 5, 3, 2)
-		e, err := NewEstimator(g, failure.Model{Lambda: 0.1}, Config{Trials: 100, Seed: 1, LegacySampler: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.SetWeight(0, 9); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != ErrStaleGraph {
-			t.Fatalf("legacy=%v: Run after mutation: err = %v, want ErrStaleGraph", legacy, err)
-		}
-		if _, _, err := e.RunSamples(); err != ErrStaleGraph {
-			t.Fatalf("legacy=%v: RunSamples after mutation: err = %v, want ErrStaleGraph", legacy, err)
-		}
+	g := dag.Diamond(1, 5, 3, 2)
+	e, err := NewEstimator(g, failure.Model{Lambda: 0.1}, Config{Trials: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetWeight(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != ErrStaleGraph {
+		t.Fatalf("Run after mutation: err = %v, want ErrStaleGraph", err)
+	}
+	if _, _, err := e.RunSamples(); err != ErrStaleGraph {
+		t.Fatalf("RunSamples after mutation: err = %v, want ErrStaleGraph", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,27 +47,12 @@ type Config struct {
 	// Negative values are a configuration error.
 	Trials int
 	// Workers is the number of goroutines (0 = GOMAXPROCS; negative is a
-	// configuration error). With the default fused sampler the result is
-	// bit-identical for any Workers; with LegacySampler it is
-	// reproducible only per (Seed, Workers) pair.
+	// configuration error). The result is bit-identical for any Workers.
 	Workers int
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Mode selects the re-execution model (default FullReexecution).
 	Mode Mode
-	// LegacySampler reproduces the v1 sampling stream: one PCG stream per
-	// worker, a two-pass sample-then-evaluate trial, and a rejection loop
-	// for geometric attempt counts. The default fused sampler is
-	// statistically equivalent and much faster but draws a different
-	// stream; keep the old one available for cross-version parity tests.
-	//
-	// Caveat: because the legacy stream is partitioned per worker, its
-	// Result depends on Workers — the same Seed with Workers:1 and
-	// Workers:4 yields different means. The default sampler assigns
-	// fixed-size trial chunks to deterministic per-chunk streams and is
-	// therefore worker-count independent (see determinism_test.go).
-	LegacySampler bool
-
 	// Tolerance > 0 makes the run adaptive: instead of a fixed trial
 	// budget, whole 4096-trial chunks run until the confidence interval
 	// of the requested statistic (the TargetQuantile's order-statistic
@@ -78,9 +62,8 @@ type Config struct {
 	// indexed by chunk number and folded in chunk order, the stopping
 	// point is a prefix of the same trial stream: an adaptive run that
 	// stops after k chunks is bit-identical to a fixed-budget run of
-	// k*4096 trials, for any Workers (see adaptive_test.go).
-	// Incompatible with LegacySampler (whose stream is per-worker, not
-	// per-chunk). Negative or non-finite values are configuration errors.
+	// k*4096 trials, for any Workers (see adaptive_test.go). Negative or
+	// non-finite values are configuration errors.
 	Tolerance float64
 	// TargetQuantile selects which statistic the stopping rule watches:
 	// a quantile in (0,1) (its CI comes from the run's QuantileSketch via
@@ -157,10 +140,7 @@ type Result struct {
 // Mutating the graph afterwards makes Run/RunSamples fail with
 // ErrStaleGraph — build a new estimator instead.
 type Estimator struct {
-	g      *dag.Graph
-	cfg    Config
-	pfail  []float64 // task-ID order, for the legacy sampler
-	baseID []float64 // task-ID-order weight snapshot, for the legacy sampler
+	cfg Config
 
 	frozen *dag.Frozen
 	// Everything below is in topological order.
@@ -250,18 +230,12 @@ func newEstimatorRates(g *dag.Graph, frozen *dag.Frozen, rates []float64, cfg Co
 		}
 	}
 	e := &Estimator{
-		g:       g,
 		cfg:     cfg,
 		frozen:  frozen,
 		base:    frozen.WeightsTopo(),
 		pfTopo:  make([]float64, n),
 		invLnPf: make([]float64, n),
 		hpt:     make([]float64, n),
-	}
-	if cfg.LegacySampler {
-		// Task-ID-order snapshots only the legacy sampler reads.
-		e.pfail = pf
-		e.baseID = g.Weights()
 	}
 	e.frozen.Gather(e.pfTopo, pf)
 	for k, p := range e.pfTopo {
@@ -291,11 +265,7 @@ func newEstimatorRates(g *dag.Graph, frozen *dag.Frozen, rates []float64, cfg Co
 			e.sinks = append(e.sinks, int32(k))
 		}
 	}
-	if !cfg.LegacySampler {
-		// The legacy sampler never reads the threshold tables; skip the
-		// construction-time bit searches.
-		e.buildTables(false)
-	}
+	e.buildTables(false)
 	return e, nil
 }
 
@@ -331,9 +301,6 @@ func normalizeConfig(cfg Config) (Config, error) {
 			cfg.Trials = DefaultTrials
 		}
 	} else {
-		if cfg.LegacySampler {
-			return cfg, fmt.Errorf("montecarlo: Tolerance requires the chunked default sampler (LegacySampler streams are per-worker and cannot stop at a worker-invariant prefix)")
-		}
 		if cfg.Trials != 0 {
 			return cfg, fmt.Errorf("montecarlo: Trials %d and Tolerance %v are mutually exclusive (cap adaptive runs with MaxTrials)", cfg.Trials, cfg.Tolerance)
 		}
@@ -563,22 +530,21 @@ func (e *Estimator) fresh() error {
 	return nil
 }
 
-// Run executes the configured trials and returns the estimate. With the
-// default sampler the result depends only on (Seed, Trials, Mode), not on
-// Workers. With Tolerance > 0 the run is adaptive: chunks run until the
-// target CI is within tolerance (or MaxTrials is hit) and Result reports
-// the trials actually spent — still worker-count invariant, because the
+// Run executes the configured trials and returns the estimate. The
+// result depends only on (Seed, Trials, Mode), not on Workers. With
+// Tolerance > 0 the run is adaptive: chunks run until the target CI is
+// within tolerance (or MaxTrials is hit) and Result reports the trials
+// actually spent — still worker-count invariant, because the
 // stopping point is a deterministic function of the chunk-ordered prefix.
 func (e *Estimator) Run() (Result, error) {
 	return e.RunContext(context.Background())
 }
 
 // RunContext is Run with cancellation: the deadline or cancel of ctx is
-// honored at chunk boundaries (per ~512-trial batch for the legacy
-// sampler), and a cancelled run returns ctx.Err() with a zero Result —
-// never a partial estimate, so a retry after cancellation reproduces
-// the same bytes a never-cancelled run would have. A background context
-// adds no per-chunk overhead.
+// honored at chunk boundaries, and a cancelled run returns ctx.Err()
+// with a zero Result — never a partial estimate, so a retry after
+// cancellation reproduces the same bytes a never-cancelled run would
+// have. A background context adds no per-chunk overhead.
 func (e *Estimator) RunContext(ctx context.Context) (Result, error) {
 	if err := e.fresh(); err != nil {
 		return Result{}, err
@@ -586,9 +552,6 @@ func (e *Estimator) RunContext(ctx context.Context) (Result, error) {
 	if e.cfg.Adaptive() {
 		res, _, err := e.ResumeAdaptiveContext(ctx, nil, nil)
 		return res, err
-	}
-	if e.cfg.LegacySampler {
-		return e.legacyRun(ctx)
 	}
 	return e.runReduce(ctx, nil)
 }
@@ -630,85 +593,6 @@ func resultFrom(w Welford) Result {
 		Trials:    int(w.N()),
 		TrialsRun: int(w.N()),
 	}
-}
-
-// legacyRun is the v1 engine: one deterministic PCG stream per worker and
-// a two-pass sample-then-evaluate trial. Kept behind Config.LegacySampler
-// so parity tests can compare the fused sampler against the old stream.
-func (e *Estimator) legacyRun(ctx context.Context) (Result, error) {
-	per := e.cfg.Trials / e.cfg.Workers
-	extra := e.cfg.Trials % e.cfg.Workers
-	accs := make([]Welford, e.cfg.Workers)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
-		trials := per
-		if w < extra {
-			trials++
-		}
-		wg.Add(1)
-		go func(w, trials int) {
-			defer wg.Done()
-			rng := newWorkerRNG(e.cfg.Seed, w)
-			pe := dag.NewPathEvaluatorFrozen(e.frozen)
-			weights := make([]float64, e.g.NumTasks())
-			for t := 0; t < trials; t++ {
-				if done != nil && t&511 == 0 {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				e.sampleWeights(rng, weights)
-				accs[w].Add(pe.MakespanWith(weights))
-			}
-		}(w, trials)
-	}
-	wg.Wait()
-	// Early-returning workers are only possible on cancellation; the
-	// partial accumulators are discarded with the error.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	var total Welford
-	for i := range accs {
-		total.Merge(accs[i])
-	}
-	return resultFrom(total), nil
-}
-
-// sampleWeights fills weights (task-ID order) with one sample of per-task
-// execution times, using the legacy rejection loop.
-func (e *Estimator) sampleWeights(rng *rand.Rand, weights []float64) {
-	for i := range e.baseID {
-		a := e.baseID[i]
-		pf := e.pfail[i]
-		if pf == 0 {
-			weights[i] = a
-			continue
-		}
-		switch e.cfg.Mode {
-		case SingleRetry:
-			if rng.Float64() < pf {
-				weights[i] = 2 * a
-			} else {
-				weights[i] = a
-			}
-		default: // FullReexecution
-			attempts := 1
-			for rng.Float64() < pf {
-				attempts++
-			}
-			weights[i] = float64(attempts) * a
-		}
-	}
-}
-
-// newWorkerRNG returns the independent deterministic stream of legacy
-// worker w.
-func newWorkerRNG(seed uint64, w int) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, uint64(w)+0x9e3779b97f4a7c15))
 }
 
 // Estimate is a convenience wrapper building a transient Estimator.

@@ -2,11 +2,9 @@ package montecarlo
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
-	"repro/internal/dag"
 	"repro/internal/distribution"
 )
 
@@ -124,15 +122,12 @@ func (s *Samples) KolmogorovSmirnov(ref distribution.Discrete) float64 {
 }
 
 // RunSamples runs the estimator like Run but additionally returns every
-// sampled makespan. Memory is 8 bytes per trial. With the default fused
-// sampler the sample vector is written in trial order and is bit-identical
-// for any worker count; Result matches Run exactly.
+// sampled makespan. Memory is 8 bytes per trial. The sample vector is
+// written in trial order and is bit-identical for any worker count;
+// Result matches Run exactly.
 func (e *Estimator) RunSamples() (Result, *Samples, error) {
 	if err := e.fresh(); err != nil {
 		return Result{}, nil, err
-	}
-	if e.cfg.LegacySampler {
-		return e.legacyRunSamples()
 	}
 	// cfg.Trials is normalized to >= 1 at construction, so the run always
 	// produces samples.
@@ -142,45 +137,4 @@ func (e *Estimator) RunSamples() (Result, *Samples, error) {
 		return Result{}, nil, err
 	}
 	return res, NewSamples(all), nil
-}
-
-// legacyRunSamples is RunSamples on the v1 per-worker streams.
-func (e *Estimator) legacyRunSamples() (Result, *Samples, error) {
-	per := e.cfg.Trials / e.cfg.Workers
-	extra := e.cfg.Trials % e.cfg.Workers
-	chunks := make([][]float64, e.cfg.Workers)
-	done := make(chan int, e.cfg.Workers)
-	for w := 0; w < e.cfg.Workers; w++ {
-		trials := per
-		if w < extra {
-			trials++
-		}
-		go func(w, trials int) {
-			defer func() { done <- w }()
-			rng := newWorkerRNG(e.cfg.Seed, w)
-			pe := dag.NewPathEvaluatorFrozen(e.frozen)
-			weights := make([]float64, e.g.NumTasks())
-			xs := make([]float64, 0, trials)
-			for t := 0; t < trials; t++ {
-				e.sampleWeights(rng, weights)
-				xs = append(xs, pe.MakespanWith(weights))
-			}
-			chunks[w] = xs
-		}(w, trials)
-	}
-	for i := 0; i < e.cfg.Workers; i++ {
-		<-done
-	}
-	var all []float64
-	for _, xs := range chunks {
-		all = append(all, xs...)
-	}
-	if len(all) == 0 {
-		return Result{}, nil, fmt.Errorf("montecarlo: no samples produced")
-	}
-	var acc Welford
-	for _, x := range all {
-		acc.Add(x)
-	}
-	return resultFrom(acc), NewSamples(all), nil
 }

@@ -82,7 +82,7 @@ func TestHistogram(t *testing.T) {
 func TestKolmogorovSmirnovAgainstItself(t *testing.T) {
 	// Sampling directly from a discrete distribution must give a small KS.
 	d, _ := distribution.NewDiscrete([]float64{1, 2, 4}, []float64{0.2, 0.3, 0.5})
-	rng := newWorkerRNG(9, 0)
+	rng := testRNG(9)
 	xs := make([]float64, 100000)
 	for i := range xs {
 		xs[i] = d.Sample(rng.Float64())

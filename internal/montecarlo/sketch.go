@@ -434,19 +434,6 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 		}
 		return res, snap.Sketch(), nil
 	}
-	if e.cfg.LegacySampler {
-		// The legacy stream is per-worker; build the sketch from the
-		// materialized samples it produces.
-		res, samples, err := e.legacyRunSamples()
-		if err != nil {
-			return Result{}, nil, err
-		}
-		sk := NewQuantileSketch(DefaultSketchCells)
-		for _, x := range samples.sorted {
-			sk.Add(x)
-		}
-		return res, sk, nil
-	}
 	accs := make([]Welford, e.numChunks())
 	sketches := make([]*QuantileSketch, e.numChunks())
 	err := e.runChunks(ctx, func(c int64, _ int, xs []float64) {

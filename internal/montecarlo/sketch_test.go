@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"os"
 	"testing"
 
@@ -10,11 +11,16 @@ import (
 	"repro/internal/failure"
 )
 
+// testRNG is a deterministic PCG stream for drawing test samples.
+func testRNG(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+}
+
 // The sketch's accuracy contract: for any sample set and any q, the
 // sketch quantile is within one cell width of the exact nearest-rank
 // sample quantile.
 func TestSketchQuantileWithinOneCell(t *testing.T) {
-	rng := newWorkerRNG(7, 0)
+	rng := testRNG(7)
 	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + int(rng.Uint64()%5000)
@@ -50,7 +56,7 @@ func TestSketchQuantileWithinOneCell(t *testing.T) {
 // Merging split streams must equal one sketch fed the whole stream:
 // same grid, same counts, same answers.
 func TestSketchMergeExact(t *testing.T) {
-	rng := newWorkerRNG(11, 0)
+	rng := testRNG(11)
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + int(rng.Uint64()%3000)
 		parts := 1 + int(rng.Uint64()%5)
@@ -217,7 +223,7 @@ func TestGoldenSamplesRegenerate(t *testing.T) {
 	if os.Getenv("GOLDEN_REGEN") == "" {
 		t.Skip("set GOLDEN_REGEN=1 to regenerate")
 	}
-	rng := newWorkerRNG(20260729, 0)
+	rng := testRNG(20260729)
 	gold := goldenSamples{Cells: 64, SketchQuantiles: map[string]float64{}, ExactQuantiles: map[string]float64{}}
 	sk := NewQuantileSketch(gold.Cells)
 	for i := 0; i < 500; i++ {

@@ -10,16 +10,12 @@ import "fmt"
 // answer a warm estimate request without paying freeze/table costs again.
 //
 // Trials, Seed, Workers and the adaptive knobs (Tolerance, TargetQuantile,
-// Confidence, MaxTrials) may change: Mode and LegacySampler select which
-// snapshot arrays exist and how they are interpreted, so switching them
-// requires a fresh estimator. The shared state is read-only during runs;
+// Confidence, MaxTrials) may change: Mode selects how the snapshot arrays
+// are interpreted, so switching it requires a fresh estimator. The shared state is read-only during runs;
 // the receiver and every derived estimator may Run concurrently.
 func (e *Estimator) WithConfig(cfg Config) (*Estimator, error) {
 	if cfg.Mode != e.cfg.Mode {
 		return nil, fmt.Errorf("montecarlo: WithConfig cannot change Mode (%v to %v); build a new estimator", e.cfg.Mode, cfg.Mode)
-	}
-	if cfg.LegacySampler != e.cfg.LegacySampler {
-		return nil, fmt.Errorf("montecarlo: WithConfig cannot toggle LegacySampler; build a new estimator")
 	}
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
@@ -38,7 +34,6 @@ func (e *Estimator) WithConfig(cfg Config) (*Estimator, error) {
 func (e *Estimator) SizeBytes() int64 {
 	s := int64(len(e.pfTopo)+len(e.invLnPf)+len(e.hpt)) * 8
 	s += int64(len(e.sinks)) * 4
-	s += int64(len(e.pfail)+len(e.baseID)) * 8 // legacy-sampler snapshots
 	if tb := e.tables; tb != nil {
 		s += int64(len(tb.gapBits)+len(tb.thinBits)+len(tb.attFirst)) * 8
 		s += int64(len(tb.attTrunc))

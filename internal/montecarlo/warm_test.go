@@ -70,9 +70,6 @@ func TestWithConfigValidation(t *testing.T) {
 	if _, err := e.WithConfig(Config{Mode: SingleRetry}); err == nil {
 		t.Fatal("mode change accepted")
 	}
-	if _, err := e.WithConfig(Config{LegacySampler: true}); err == nil {
-		t.Fatal("legacy toggle accepted")
-	}
 	re, err := e.WithConfig(Config{})
 	if err != nil {
 		t.Fatal(err)

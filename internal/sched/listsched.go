@@ -10,7 +10,6 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/core"
@@ -218,66 +217,4 @@ func Run(g *dag.Graph, prio []float64, nprocs int, model failure.Model, rng *ran
 // ListSchedule runs failure-free list scheduling (deterministic).
 func ListSchedule(g *dag.Graph, prio []float64, nprocs int) (Schedule, error) {
 	return Run(g, prio, nprocs, failure.Model{}, nil)
-}
-
-// ExpectedResult aggregates Monte Carlo executions of a schedule policy.
-type ExpectedResult struct {
-	// Mean estimates the expected makespan.
-	Mean float64
-	// StdDev is the sample standard deviation of the makespan.
-	StdDev float64
-	// StdErr is the standard error of Mean.
-	StdErr float64
-	// CI95 is the half-width of the 95% confidence interval around Mean.
-	CI95 float64
-	// Min and Max are the extreme sampled makespans.
-	Min, Max float64
-	// Trials is the number of simulated executions.
-	Trials int
-}
-
-// ExpectedMakespan estimates the expected makespan of list scheduling
-// under failures by Monte Carlo, sampling trials executions (a
-// non-positive count selects 1000). Every trial re-runs the dynamic
-// dispatcher, so the cost is a full event-driven simulation per trial;
-// for the committed-schedule semantics at fused-kernel speed use
-// internal/schedmc (schedsim's default engine since PR 5 — this loop
-// remains its -dynamic reference).
-func ExpectedMakespan(g *dag.Graph, prio []float64, nprocs int, model failure.Model, trials int, seed uint64) (ExpectedResult, error) {
-	if trials <= 0 {
-		trials = 1000
-	}
-	var mean, m2 float64
-	lo, hi := math.Inf(1), math.Inf(-1)
-	rng := rand.New(rand.NewPCG(seed, 0x5eed))
-	for t := 0; t < trials; t++ {
-		s, err := Run(g, prio, nprocs, model, rng)
-		if err != nil {
-			return ExpectedResult{}, err
-		}
-		if s.Makespan < lo {
-			lo = s.Makespan
-		}
-		if s.Makespan > hi {
-			hi = s.Makespan
-		}
-		d := s.Makespan - mean
-		mean += d / float64(t+1)
-		m2 += d * (s.Makespan - mean)
-	}
-	variance := 0.0
-	if trials > 1 {
-		variance = m2 / float64(trials-1)
-	}
-	sd := math.Sqrt(variance)
-	se := sd / math.Sqrt(float64(trials))
-	return ExpectedResult{
-		Mean:   mean,
-		StdDev: sd,
-		StdErr: se,
-		CI95:   1.959963984540054 * se,
-		Min:    lo,
-		Max:    hi,
-		Trials: trials,
-	}, nil
 }

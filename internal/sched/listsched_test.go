@@ -162,57 +162,6 @@ func TestRunFailureFreeAttemptsAreOne(t *testing.T) {
 	}
 }
 
-func TestExpectedMakespanChainClosedForm(t *testing.T) {
-	// On one processor a chain's expected makespan is Σ a_i e^{λ a_i}.
-	g := dag.Chain(5, 1, 2)
-	m := failure.Model{Lambda: 0.1}
-	p, _ := Priorities(g)
-	res, err := ExpectedMakespan(g, p, 1, m, 60000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.0
-	for i := 0; i < g.NumTasks(); i++ {
-		want += m.ExpectedTime(g.Weight(i))
-	}
-	if !almostEq(res.Mean, want, 5*res.CI95) {
-		t.Fatalf("expected makespan %v want %v (CI %v)", res.Mean, want, res.CI95)
-	}
-}
-
-func TestFailureAwarePrioritiesHelpOrMatch(t *testing.T) {
-	// On a graph engineered so the failure-aware ranking differs (a branch
-	// of many small tasks vs one slightly-longer big task: re-executions
-	// hurt the big task more), the failure-aware policy must not lose.
-	g := dag.New(0)
-	src := g.MustAddTask("src", 0.01)
-	big := g.MustAddTask("big", 3.0)
-	var prev = src
-	for i := 0; i < 3; i++ {
-		id := g.MustAddTask("small", 1.01)
-		g.MustAddEdge(prev, id)
-		prev = id
-	}
-	g.MustAddEdge(src, big)
-	snk := g.MustAddTask("snk", 0.01)
-	g.MustAddEdge(prev, snk)
-	g.MustAddEdge(big, snk)
-	m := failure.Model{Lambda: 0.25}
-	det, _ := Priorities(g)
-	fa, _ := FailureAwarePriorities(g, m)
-	detRes, err := ExpectedMakespan(g, det, 2, m, 40000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faRes, err := ExpectedMakespan(g, fa, 2, m, 40000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faRes.Mean > detRes.Mean+detRes.CI95+faRes.CI95 {
-		t.Fatalf("failure-aware %v significantly worse than deterministic %v", faRes.Mean, detRes.Mean)
-	}
-}
-
 // Property: makespan decreases (weakly) with more processors and is always
 // between d(G) and total work.
 func TestQuickMakespanMonotoneInProcs(t *testing.T) {

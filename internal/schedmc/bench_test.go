@@ -6,7 +6,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/failure"
 	"repro/internal/linalg"
-	"repro/internal/sched"
 )
 
 // The headline configuration of the PR 5 acceptance criterion: LU k=16
@@ -45,7 +44,7 @@ func BenchmarkSchedsimLegacyLU16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.ExpectedMakespan(g, prio, benchProcs, model, benchTrials, 42); err != nil {
+		if _, err := expectedMakespan(g, prio, benchProcs, model, benchTrials, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

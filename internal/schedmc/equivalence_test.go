@@ -9,7 +9,7 @@ import (
 )
 
 // The statistical-equivalence pin against the pre-PR5 schedsim loop
-// (sched.ExpectedMakespan): the frozen-schedule engine evaluates the
+// (expectedMakespan, dynamic_test.go): the frozen-schedule engine evaluates the
 // committed schedule, while the old loop re-dispatches dynamically inside
 // every trial, so the two agree exactly without failures and track each
 // other with a small, systematic, *positive* frozen-schedule bias at
@@ -36,7 +36,7 @@ func TestStatisticalEquivalenceWithDynamicLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := sched.ExpectedMakespan(g, prio, 4, model, 4000, 42)
+			old, err := expectedMakespan(g, prio, 4, model, 4000, 42)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,19 +41,9 @@ type Config struct {
 	MaxTrials int
 }
 
-// mcConfig translates the schedule-level config to the engine's.
-func (c Config) mcConfig() montecarlo.Config {
-	return montecarlo.Config{
-		Trials:         c.Trials,
-		Workers:        c.Workers,
-		Seed:           c.Seed,
-		Mode:           c.Mode,
-		Tolerance:      c.Tolerance,
-		TargetQuantile: c.TargetQuantile,
-		Confidence:     c.Confidence,
-		MaxTrials:      c.MaxTrials,
-	}
-}
+// mcConfig translates the schedule-level config to the engine's (the two
+// structs have the same fields).
+func (c Config) mcConfig() montecarlo.Config { return montecarlo.Config(c) }
 
 // Estimator runs fused Monte Carlo trials over a frozen schedule: per
 // task, the first-attempt failure probability 1 − e^{−λa} and an

@@ -19,8 +19,8 @@
 // failures inflate task durations in place (a task is re-executed on its
 // own processor until it succeeds, as in the paper's verified-execution
 // discipline). This differs from re-running the list scheduler inside
-// every trial — the pre-PR5 cmd/schedsim loop, kept available as
-// sched.ExpectedMakespan — which re-dispatches tasks dynamically as
+// every trial — the pre-PR5 cmd/schedsim loop, kept as a test oracle
+// (dynamic_test.go) — which re-dispatches tasks dynamically as
 // sampled durations shift readiness. The two models agree exactly when
 // no failures occur and track each other closely at realistic failure
 // probabilities (pinned by the statistical-equivalence test in

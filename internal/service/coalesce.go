@@ -5,8 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/artifact"
 	"repro/internal/montecarlo"
-	"repro/internal/schedmc"
+	"repro/internal/query"
 )
 
 // This file implements cross-request Monte Carlo coalescing: concurrent
@@ -46,28 +47,9 @@ import (
 // store access (which takes the resolver lock, possibly then
 // Registry.mu via graph eviction) nests under adaptiveSlot.mu.
 
-// adaptiveRunner abstracts the two adaptive kernels the service
-// coalesces over: the unbounded-processor estimator and the
-// frozen-schedule estimator (which delegates to it). Each request binds
-// its own runner (its tolerance/target/confidence); the shared run only
-// needs the creator's.
-type adaptiveRunner interface {
-	ResumeAdaptiveContext(ctx context.Context, prev *montecarlo.Snapshot, progress func(*montecarlo.Snapshot) bool) (montecarlo.Result, *montecarlo.Snapshot, error)
-	SnapshotConverged(snap *montecarlo.Snapshot) bool
-	SnapshotResult(snap *montecarlo.Snapshot) (montecarlo.Result, error)
-}
-
 // adaptiveKey identifies one shareable adaptive trial stream of an
-// entry. sched=false keys the unbounded-processor engine (policy/procs
-// zero); sched=true keys a frozen schedule.
-type adaptiveKey struct {
-	sched  bool
-	policy schedmc.Policy
-	procs  int
-	lambda float64
-	mode   montecarlo.Mode
-	seed   uint64
-}
+// entry — the key its retained snapshot is stored under.
+type adaptiveKey = artifact.SnapshotKey
 
 // adaptiveSlot is the per-key coalescing state: the in-flight run, if
 // any. The retained prefix snapshot itself lives in the artifact store
@@ -186,7 +168,7 @@ func (e *Entry) adaptiveSlotFor(key adaptiveKey) *adaptiveSlot {
 // retry, so the loop terminates. A cancelled request detaches without
 // disturbing the flight; a flight killed by everyone else's lapsed
 // interest is retried, never surfaced.
-func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key adaptiveKey, runner adaptiveRunner) (montecarlo.Result, *montecarlo.Snapshot, error) {
+func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key adaptiveKey, runner query.Kernel) (montecarlo.Result, *montecarlo.Snapshot, error) {
 	slot := e.adaptiveSlotFor(key)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -246,7 +228,7 @@ func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key adaptiveKey
 // prev under the flight context, releasing waiters as the shared prefix
 // satisfies them, then retains the grown snapshot and sweeps the
 // stragglers. It runs under the compute gate like any other kernel.
-func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiveSlot, key adaptiveKey, run *inflightRun, runner adaptiveRunner, prev *montecarlo.Snapshot) {
+func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiveSlot, key adaptiveKey, run *inflightRun, runner query.Kernel, prev *montecarlo.Snapshot) {
 	defer run.cancel() // release the flight context's resources
 	var res montecarlo.Result
 	var snap *montecarlo.Snapshot
@@ -275,19 +257,10 @@ func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiv
 	slot.mu.Unlock()
 }
 
-// fixedKey identifies one shareable fixed-budget run. sketch is part of
-// the identity so a mean-only request never pays for (or waits on) a
-// quantile sketch it didn't ask for.
-type fixedKey struct {
-	sched  bool
-	policy schedmc.Policy
-	procs  int
-	lambda float64
-	mode   montecarlo.Mode
-	seed   uint64
-	trials int
-	sketch bool
-}
+// fixedKey identifies one shareable fixed-budget run. Its sketch flag is
+// part of the identity so a mean-only request never pays for (or waits
+// on) a quantile sketch it didn't ask for.
+type fixedKey = query.FixedKey
 
 // fixedFlight is one in-flight fixed-budget run; followers block on
 // done and then read the leader's fields (written before close).
@@ -328,9 +301,10 @@ var testHookFixedLeader func(f *fixedFlight)
 // is in flight share its result. The flight is removed before done
 // closes, so a request arriving after completion runs fresh — fixed
 // runs are cheap to rerun and, unlike adaptive snapshots, not worth
-// retaining. kernel receives the flight context and must abort promptly
-// when it dies (all participants detached).
-func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key fixedKey, kernel func(context.Context) (montecarlo.Result, *montecarlo.QuantileSketch, error)) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
+// retaining. The kernel runs under the compute gate and the flight
+// context, so it aborts at its next chunk boundary once every
+// participant has detached.
+func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key fixedKey, kernel query.Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return montecarlo.Result{}, nil, err
@@ -347,7 +321,11 @@ func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key fixedKey, kern
 			}
 			e.kernelRuns.Add(1)
 			go func() {
-				f.res, f.sk, f.err = kernel(fctx)
+				f.err = s.heavy(fctx, func() error {
+					var err error
+					f.res, f.sk, err = query.RunFixed(fctx, kernel, key.Sketch)
+					return err
+				})
 				e.mu.Lock()
 				delete(e.fixed, key)
 				e.mu.Unlock()

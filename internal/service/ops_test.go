@@ -307,7 +307,7 @@ func TestAdaptiveLeaderCancelHandsOffToWaiter(t *testing.T) {
 	}
 	defer faultinject.Disarm()
 
-	key := adaptiveKey{lambda: model.Lambda, mode: montecarlo.FullReexecution, seed: 42}
+	key := adaptiveKey{Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: 42}
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
 	leaderErr := make(chan error, 1)

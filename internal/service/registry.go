@@ -275,18 +275,14 @@ func normAtoms(atoms int) int { return artifact.NormAtoms(atoms) }
 // being accounted), exactly the pre-store registry behavior.
 func (e *Entry) resident() bool { return e.reg.store.Resident(e.ga) }
 
-// Plan returns the entry's recorded Dodin reduction schedule for the
-// given atom cap, resolving the plan rule (keyed by the normalized cap
-// only: a plan replays bit-identically under every failure model, see
-// spgraph.Plan, so one recording serves estimates and sweeps at any
-// pfail). On an evicted entry the plan is built cold and unaccounted.
-func (e *Entry) Plan(atoms int, model failure.Model) (*spgraph.Plan, error) {
-	return e.PlanContext(context.Background(), atoms, model)
-}
-
-// PlanContext is Plan bounded by ctx: cancellation aborts an in-flight
-// plan recording at the resolver's next check (the cold, unaccounted
-// path checks once up front — the recording itself is not chunked).
+// PlanContext returns the entry's recorded Dodin reduction schedule for
+// the given atom cap, resolving the plan rule (keyed by the normalized
+// cap only: a plan replays bit-identically under every failure model,
+// see spgraph.Plan, so one recording serves estimates and sweeps at any
+// pfail). Cancellation aborts an in-flight recording at the resolver's
+// next check. On an evicted entry the plan is built cold and
+// unaccounted (checking ctx once up front — the recording is not
+// chunked).
 func (e *Entry) PlanContext(ctx context.Context, atoms int, model failure.Model) (*spgraph.Plan, error) {
 	if !e.resident() {
 		if err := ctx.Err(); err != nil {
@@ -298,17 +294,12 @@ func (e *Entry) PlanContext(ctx context.Context, atoms int, model failure.Model)
 	return e.reg.store.PlanContext(ctx, e.ga, atoms, model)
 }
 
-// Estimator returns the entry's compiled Monte Carlo estimator for the
-// failure model, resolving the estimator rule (threshold tables
-// included) on first use. Callers derive per-request run configs via
+// EstimatorContext returns the entry's compiled Monte Carlo estimator
+// for the failure model, resolving the estimator rule (threshold tables
+// included) on first use; a cancelled compile is never cached and the
+// rule stays retryable. Callers derive per-request run configs via
 // WithConfig; the snapshot itself is shared read-only and safe for
 // concurrent runs.
-func (e *Entry) Estimator(model failure.Model, mode montecarlo.Mode) (*montecarlo.Estimator, error) {
-	return e.EstimatorContext(context.Background(), model, mode)
-}
-
-// EstimatorContext is Estimator bounded by ctx (resolver semantics: a
-// cancelled compile is never cached and the rule stays retryable).
 func (e *Entry) EstimatorContext(ctx context.Context, model failure.Model, mode montecarlo.Mode) (*montecarlo.Estimator, error) {
 	if !e.resident() {
 		if err := ctx.Err(); err != nil {
@@ -321,18 +312,13 @@ func (e *Entry) EstimatorContext(ctx context.Context, model failure.Model, mode 
 	return e.reg.store.EstimatorContext(ctx, e.ga, model, mode)
 }
 
-// ScheduleEstimator returns the entry's frozen-schedule Monte Carlo
-// estimator for (policy, procs, model), resolving the schedule rule —
-// priorities, list schedule, schedule-DAG freeze, sampler threshold
-// tables — exactly once per key; concurrent requesters coalesce on the
-// resolver's singleflight. A warm request therefore skips schedule
-// freezing entirely and pays only the O(1) WithConfig reconfiguration.
-func (e *Entry) ScheduleEstimator(policy schedmc.Policy, procs int, model failure.Model) (*schedmc.Estimator, error) {
-	return e.ScheduleEstimatorContext(context.Background(), policy, procs, model)
-}
-
-// ScheduleEstimatorContext is ScheduleEstimator bounded by ctx
-// (resolver semantics: a cancelled freeze is never cached).
+// ScheduleEstimatorContext returns the entry's frozen-schedule Monte
+// Carlo estimator for (policy, procs, model), resolving the schedule
+// rule — priorities, list schedule, schedule-DAG freeze, sampler
+// threshold tables — exactly once per key; concurrent requesters
+// coalesce on the resolver's singleflight, and a cancelled freeze is
+// never cached. A warm request therefore skips schedule freezing
+// entirely and pays only the O(1) WithConfig reconfiguration.
 func (e *Entry) ScheduleEstimatorContext(ctx context.Context, policy schedmc.Policy, procs int, model failure.Model) (*schedmc.Estimator, error) {
 	if !e.resident() {
 		if err := ctx.Err(); err != nil {
@@ -354,11 +340,10 @@ func (e *Entry) snapshot(key adaptiveKey, touch bool) (*montecarlo.Snapshot, boo
 	if !e.resident() {
 		return nil, false
 	}
-	sk := snapshotKeyFor(key)
 	if touch {
-		return e.reg.store.Snapshot(e.ga, sk)
+		return e.reg.store.Snapshot(e.ga, key)
 	}
-	return e.reg.store.PeekSnapshot(e.ga, sk)
+	return e.reg.store.PeekSnapshot(e.ga, key)
 }
 
 // putSnapshot retains snap as the entry's snapshot artifact for key.
@@ -368,18 +353,7 @@ func (e *Entry) putSnapshot(key adaptiveKey, snap *montecarlo.Snapshot) {
 	if !e.resident() {
 		return
 	}
-	e.reg.store.PutSnapshot(e.ga, snapshotKeyFor(key), snap)
-}
-
-func snapshotKeyFor(key adaptiveKey) artifact.SnapshotKey {
-	return artifact.SnapshotKey{
-		Sched:  key.sched,
-		Policy: key.policy,
-		Procs:  key.procs,
-		Lambda: key.lambda,
-		Mode:   key.mode,
-		Seed:   key.seed,
-	}
+	e.reg.store.PutSnapshot(e.ga, key, snap)
 }
 
 // Sweeper checks a bounds sweeper out of the graph's pool; return it

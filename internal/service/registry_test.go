@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -150,7 +151,7 @@ func TestRegistryArtifactGrowthEvicts(t *testing.T) {
 	r := NewRegistry(base + 512)
 	ea, _, _ = r.Add(a, GraphMeta{Kind: "cholesky", K: 6})
 	eb, _, _ = r.Add(b, GraphMeta{Kind: "lu", K: 8})
-	if _, err := eb.Plan(0, model); err != nil {
+	if _, err := eb.PlanContext(context.Background(), 0, model); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.Get(ea.ID); ok {
@@ -161,7 +162,7 @@ func TestRegistryArtifactGrowthEvicts(t *testing.T) {
 	}
 	// An evicted-entry build must not corrupt accounting.
 	used := r.Stats().UsedBytes
-	if _, err := ea.Plan(0, model); err != nil {
+	if _, err := ea.PlanContext(context.Background(), 0, model); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().UsedBytes; got != used {
@@ -190,12 +191,12 @@ func TestEntryArtifactSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := e.Plan(0, model)
+			p, err := e.PlanContext(context.Background(), 0, model)
 			if err != nil {
 				t.Error(err)
 			}
 			plans[i] = p
-			est, err := e.Estimator(model, montecarlo.FullReexecution)
+			est, err := e.EstimatorContext(context.Background(), model, montecarlo.FullReexecution)
 			if err != nil {
 				t.Error(err)
 			}
@@ -213,11 +214,11 @@ func TestEntryArtifactSingleflight(t *testing.T) {
 		t.Fatalf("cache info = %+v", ci)
 	}
 	// A different atom cap and model key new artifacts.
-	if _, err := e.Plan(128, model); err != nil {
+	if _, err := e.PlanContext(context.Background(), 128, model); err != nil {
 		t.Fatal(err)
 	}
 	model2, _ := failure.FromPfail(0.001, g.MeanWeight())
-	if _, err := e.Estimator(model2, montecarlo.FullReexecution); err != nil {
+	if _, err := e.EstimatorContext(context.Background(), model2, montecarlo.FullReexecution); err != nil {
 		t.Fatal(err)
 	}
 	ci = e.Cache()

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -17,15 +16,12 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/experiments"
-	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
+	"repro/internal/query"
 	"repro/internal/report"
-	"repro/internal/schedmc"
 )
 
 // Config tunes a Server.
@@ -164,7 +160,7 @@ func (ri *reqInfo) outcomeOr(status int) string {
 		return "shed"
 	case status == http.StatusGatewayTimeout:
 		return "timeout"
-	case status == statusClientClosedRequest:
+	case status == query.StatusClientClosedRequest:
 		return "cancelled"
 	case status < 400:
 		return "ok"
@@ -369,17 +365,25 @@ func errTooBusy(wait time.Duration) error {
 // process at ~Workers estimation goroutines under any client load. A
 // context that dies while waiting for the gate abandons the wait.
 func (s *Server) heavy(ctx context.Context, fn func() error) error {
-	if done := ctx.Done(); done != nil {
-		select {
-		case s.gate <- struct{}{}:
-		case <-done:
-			return ctx.Err()
-		}
-	} else {
-		s.gate <- struct{}{}
+	if err := s.acquire(ctx); err != nil {
+		return err
 	}
 	defer func() { <-s.gate }()
 	return fn()
+}
+
+// acquire takes the compute gate; release it with <-s.gate.
+func (s *Server) acquire(ctx context.Context) error {
+	if done := ctx.Done(); done != nil {
+		select {
+		case s.gate <- struct{}{}:
+			return nil
+		case <-done:
+			return ctx.Err()
+		}
+	}
+	s.gate <- struct{}{}
+	return nil
 }
 
 // requestCtx derives a request's working context: the client's
@@ -429,35 +433,19 @@ func errNotFound(format string, args ...any) error {
 	return &httpError{status: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-// reqErr classifies an estimation-phase failure: context errors pass
-// through untouched (writeError maps them to 504/499), injected faults
-// and other server-side failures stay 500, and anything else — engine
-// config validation, bad parameters — is the client's 400.
-func reqErr(err error, format string, args ...any) error {
-	if isCtxErr(err) || faultinject.IsFault(err) {
-		return fmt.Errorf(format+": %w", append(args, err)...)
-	}
-	return errBadRequest(format+": %v", append(args, err)...)
-}
-
-// statusClientClosedRequest is nginx's non-standard 499: the client
-// went away before the response; nobody reads it, but the access log
-// should not claim a server error.
-const statusClientClosedRequest = 499
-
+// writeError answers err as a JSON error document: an httpError with
+// its own status, anything else — query, resolution and admission
+// failures — with the status query.Status maps it to.
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+	var status int
 	var he *httpError
-	switch {
-	case errors.As(err, &he):
+	if errors.As(err, &he) {
 		status = he.status
 		if he.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(he.retryAfter))
 		}
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = statusClientClosedRequest
+	} else {
+		status = query.Status(err)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -558,7 +546,7 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 		}
 		e, created, err := s.reg.AddContext(ctx, g, meta)
 		if err != nil {
-			return nil, false, reqErr(err, "register graph")
+			return nil, false, fmt.Errorf("register graph: %w", err)
 		}
 		return e, created, nil
 	default:
@@ -568,11 +556,11 @@ func (s *Server) resolve(ctx context.Context, ref graphRef) (*Entry, bool, error
 		}
 		e, created, err := s.reg.AddContext(ctx, g, GraphMeta{Kind: "custom"})
 		if err != nil {
-			// Aside from cancellation and injected faults (which reqErr
-			// keeps server-side), Add fails only on the submitted content
-			// (a cyclic DAG is first caught by Freeze): the client's
-			// fault, not ours.
-			return nil, false, reqErr(err, "bad graph")
+			// Aside from cancellation and injected faults (which
+			// query.Status keeps server-side), Add fails only on the
+			// submitted content (a cyclic DAG is first caught by Freeze):
+			// the client's fault, not ours.
+			return nil, false, fmt.Errorf("bad graph: %w", err)
 		}
 		return e, created, nil
 	}
@@ -652,36 +640,61 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, summarize(e, false, true))
 }
 
-// estimateRequest mirrors cmd/makespan's flags: the same defaults (pfail
-// 0.001, seed 42, Dodin cap 64, methods "all") except -trials, which
-// defaults to 0 (skip Monte Carlo) rather than the CLI's 300,000 — a
-// service should not run a six-figure simulation because a field was
-// omitted.
+// estimateRequest is POST /v1/estimate's body: a graph selector, the
+// query.Estimate parameters cmd/makespan fills from its flags, and the
+// request deadline. The service's defaults differ from the CLI's in two
+// places: an omitted pfail is query.DefaultPFail, and trials 0 skips
+// Monte Carlo — a service should not run a six-figure simulation
+// because a field was omitted.
 type estimateRequest struct {
 	graphRef
-	PFail      float64   `json:"pfail,omitempty"`
-	Lambda     float64   `json:"lambda,omitempty"`
-	Methods    string    `json:"methods,omitempty"`
-	Trials     int       `json:"trials,omitempty"`
-	Seed       *uint64   `json:"seed,omitempty"`
-	DodinAtoms int       `json:"dodin_atoms,omitempty"`
-	Bounds     bool      `json:"bounds,omitempty"`
-	Quantiles  []float64 `json:"quantiles,omitempty"`
-
-	// Tolerance > 0 selects adaptive Monte Carlo (trials must then be
-	// omitted): run until the target statistic's CI half-width is within
-	// tolerance, capped by max_trials. Exactly montecarlo.Config's
-	// semantics; concurrent adaptive requests for the same stream
-	// coalesce into one kernel run (see coalesce.go).
-	Tolerance      float64 `json:"tolerance,omitempty"`
-	TargetQuantile float64 `json:"target_quantile,omitempty"`
-	Confidence     float64 `json:"confidence,omitempty"`
-	MaxTrials      int     `json:"max_trials,omitempty"`
+	query.Estimate
 
 	// TimeoutMS bounds the whole request: on expiry every kernel aborts
 	// at its next chunk boundary and the response is 504. Clamped by the
 	// server's -max-timeout; 0 selects the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// scheduleRequest is POST /v1/schedule's body, cmd/schedsim's flags
+// with the estimate route's defaults (schedsim's -trials 0 selects the
+// engine default instead).
+type scheduleRequest struct {
+	graphRef
+	query.Schedule
+
+	// TimeoutMS bounds the whole request (see estimateRequest.TimeoutMS).
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// sweepRequest is POST /v1/sweep's body, `experiments -sweep`'s flags:
+// LU k=10 across five pfail decades when no graph is named.
+type sweepRequest struct {
+	graphRef
+	query.Sweep
+
+	// TimeoutMS bounds the whole request (see estimateRequest.TimeoutMS).
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// start runs the steps every query route shares after decoding and
+// validating: the request deadline, admission and graph resolution.
+// On success the caller must call release and then cancel when the
+// request finishes.
+func (s *Server) start(r *http.Request, ref graphRef, timeoutMS int64) (ctx context.Context, e *Entry, release, cancel func(), err error) {
+	if ctx, cancel, err = s.requestCtx(r, timeoutMS); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if release, err = s.admit(ctx); err != nil {
+		cancel()
+		return nil, nil, nil, nil, err
+	}
+	if e, _, err = s.resolve(ctx, ref); err != nil {
+		release()
+		cancel()
+		return nil, nil, nil, nil, err
+	}
+	return ctx, e, release, cancel, nil
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -690,32 +703,24 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel, err := s.requestCtx(r, req.TimeoutMS)
+	req.FillDefaults()
+	if err := req.Validate(); err != nil {
+		writeError(w, err)
+		return
+	}
+	ctx, e, release, cancel, err := s.start(r, req.graphRef, req.TimeoutMS)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	defer release()
-	e, _, err := s.resolve(ctx, req.graphRef)
+	model, err := req.Model(e.G)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	model, err := buildModel(e.G, req.PFail, req.Lambda)
-	if err != nil {
-		writeError(w, errBadRequest("%v", err))
-		return
-	}
-	// No outer gate here: buildEstimate takes the compute gate around its
-	// heavy phases itself, so the Monte Carlo phase can go through the
-	// coalescers (whose leaders acquire the gate) without deadlocking.
-	est, err := s.buildEstimate(ctx, e, model, req)
+	est, err := req.Run(ctx, e, model, runner{s})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -725,273 +730,30 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	_ = report.WriteEstimateJSON(w, est)
 }
 
-// buildModel mirrors cmd/makespan: an explicit λ wins, otherwise pfail —
-// defaulting to the CLI's 0.001 — is calibrated on the mean task weight.
-// A negative or non-finite λ is rejected instead of silently falling
-// back to the pfail path.
-func buildModel(g *dag.Graph, pfail, lambda float64) (failure.Model, error) {
-	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return failure.Model{}, fmt.Errorf("bad lambda %g (must be a finite rate >= 0)", lambda)
-	}
-	if lambda > 0 {
-		return failure.New(lambda)
-	}
-	if pfail == 0 {
-		pfail = 0.001
-	}
-	return failure.FromPfail(pfail, g.MeanWeight())
-}
-
-// buildEstimate is the warm counterpart of cmd/makespan's buildEstimate:
-// identical document assembly, with construction skipped wherever the
-// registry already holds the artifact — the frozen graph (always), the
-// Dodin reduction plan (replayed instead of re-reduced), the Monte Carlo
-// estimator snapshot (reconfigured instead of rebuilt) and the bounds
-// sweeper scratch. Every substitution is bit-identical by construction,
-// which the e2e suite verifies against the CLI byte for byte.
-func (s *Server) buildEstimate(ctx context.Context, e *Entry, model failure.Model, req estimateRequest) (report.Estimate, error) {
-	est := report.Estimate{
-		Graph: report.GraphInfo{Tasks: e.G.NumTasks(), Edges: e.G.NumEdges(), MeanWeight: e.G.MeanWeight()},
-		Model: report.ModelInfo{
-			Lambda:        model.Lambda,
-			PFailMeanTask: model.PFail(e.G.MeanWeight()),
-			MTBF:          model.MTBF(),
-		},
-		FailureFree: e.D0,
-	}
-	methods, err := experiments.ParseMethods(req.Methods)
-	if err != nil {
-		return est, errBadRequest("%v", err)
-	}
-	if err := report.ValidateQuantiles(req.Quantiles); err != nil {
-		return est, errBadRequest("%v", err)
-	}
-	if req.Trials == 0 && req.Tolerance == 0 {
-		if len(req.Quantiles) > 0 {
-			return est, errBadRequest("quantiles need Monte Carlo trials (trials > 0 or tolerance > 0)")
-		}
-		if req.MaxTrials != 0 || req.TargetQuantile != 0 || req.Confidence != 0 {
-			return est, errBadRequest("monte carlo: max_trials, target_quantile and confidence need tolerance > 0")
-		}
-	}
-	// Bounds and analytic methods run under the compute gate; the Monte
-	// Carlo phase below takes it through the coalescers instead, so
-	// requests sharing a trial stream don't each occupy a gate slot.
-	if err := s.heavy(ctx, func() error {
-		if req.Bounds {
-			sw := e.Sweeper()
-			lo, hi, err := sw.Bracket(model, req.DodinAtoms)
-			e.PutSweeper(sw)
-			if err != nil {
-				return errBadRequest("bounds: %v", err)
-			}
-			est.Bracket = &report.BracketInfo{Lower: lo, Upper: hi}
-		}
-		for _, m := range methods {
-			var v float64
-			var dt time.Duration
-			switch m {
-			case experiments.MethodDodin:
-				// Warm: replay the cached reduction schedule instead of
-				// re-running the series-parallel reduction.
-				plan, err := e.PlanContext(ctx, req.DodinAtoms, model)
-				if err != nil {
-					return reqErr(err, "%s", m)
-				}
-				t0 := time.Now()
-				res, err := plan.Run(model)
-				if err != nil {
-					return errBadRequest("%s: %v", m, err)
-				}
-				v, dt = res.Estimate, time.Since(t0)
-			case experiments.MethodFirstOrder:
-				// Warm: evaluate on a pooled PathEvaluator over the shared
-				// frozen graph instead of re-freezing per call.
-				pe := e.PathEvaluator()
-				t0 := time.Now()
-				res := core.FirstOrderWith(pe, model)
-				v, dt = res.Estimate, time.Since(t0)
-				e.PutPathEvaluator(pe)
-			default:
-				var err error
-				v, dt, err = experiments.Estimate(m, e.G, model, req.DodinAtoms)
-				if err != nil {
-					return errBadRequest("%s: %v", m, err)
-				}
-			}
-			est.Methods = append(est.Methods, report.MethodEstimate{Method: string(m), Estimate: v, Time: dt})
-		}
-		return nil
-	}); err != nil {
-		return est, err
-	}
-	if req.Trials == 0 && req.Tolerance == 0 {
-		return est, nil
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	t0 := time.Now()
-	warm, err := e.EstimatorContext(ctx, model, montecarlo.FullReexecution)
-	if err != nil {
-		return est, reqErr(err, "monte carlo")
-	}
-	var mc *report.MonteCarloInfo
-	if req.Tolerance != 0 {
-		run, err := warm.WithConfig(montecarlo.Config{
-			Trials:         req.Trials, // nonzero: rejected by the engine
-			Seed:           seed,
-			Workers:        s.workers,
-			Tolerance:      req.Tolerance,
-			TargetQuantile: req.TargetQuantile,
-			Confidence:     req.Confidence,
-			MaxTrials:      req.MaxTrials,
-		})
-		if err != nil {
-			return est, errBadRequest("monte carlo: %v", err)
-		}
-		key := adaptiveKey{lambda: model.Lambda, mode: montecarlo.FullReexecution, seed: seed}
-		res, snap, err := s.coalesceAdaptive(ctx, e, key, run)
-		if err != nil {
-			return est, reqErr(err, "monte carlo")
-		}
-		mc = report.MonteCarloInfoFrom(res, seed)
-		mc.Adaptive = report.AdaptiveInfoFrom(res, req.Tolerance, req.TargetQuantile, req.Confidence)
-		if len(req.Quantiles) > 0 {
-			sketch := snap.Sketch()
-			for _, q := range req.Quantiles {
-				mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-			}
-		}
-	} else {
-		run, err := warm.WithConfig(montecarlo.Config{
-			Trials:         req.Trials,
-			Seed:           seed,
-			Workers:        s.workers,
-			TargetQuantile: req.TargetQuantile,
-			Confidence:     req.Confidence,
-			MaxTrials:      req.MaxTrials,
-		})
-		if err != nil {
-			return est, errBadRequest("monte carlo: %v", err)
-		}
-		key := fixedKey{
-			lambda: model.Lambda, mode: montecarlo.FullReexecution,
-			seed: seed, trials: req.Trials, sketch: len(req.Quantiles) > 0,
-		}
-		res, sketch, err := s.coalesceFixed(ctx, e, key, func(fctx context.Context) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
-			var res montecarlo.Result
-			var sk *montecarlo.QuantileSketch
-			err := s.heavy(fctx, func() error {
-				var err error
-				if key.sketch {
-					res, sk, err = run.RunQuantilesContext(fctx)
-				} else {
-					res, err = run.RunContext(fctx)
-				}
-				return err
-			})
-			return res, sk, err
-		})
-		if err != nil {
-			return est, reqErr(err, "monte carlo")
-		}
-		mc = report.MonteCarloInfoFrom(res, seed)
-		for _, q := range req.Quantiles {
-			mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-		}
-	}
-	mc.Time = time.Since(t0)
-	est.MonteCarlo = mc
-	return est, nil
-}
-
-// scheduleRequest mirrors cmd/schedsim's flags with the service's
-// defaults: policies "both", pfail 0.001, seed 42 — and trials 0 skips
-// Monte Carlo (the estimate-endpoint convention: a service should not
-// run a six-figure simulation because a field was omitted; schedsim's
-// -trials 0 selects the engine default instead).
-type scheduleRequest struct {
-	graphRef
-	Procs     int       `json:"procs"`
-	Policies  string    `json:"policies,omitempty"`
-	PFail     float64   `json:"pfail,omitempty"`
-	Lambda    float64   `json:"lambda,omitempty"`
-	Trials    int       `json:"trials,omitempty"`
-	Seed      *uint64   `json:"seed,omitempty"`
-	Quantiles []float64 `json:"quantiles,omitempty"`
-
-	// Adaptive stopping, per policy, with the estimate endpoint's
-	// semantics: tolerance > 0 runs each policy's trial stream until its
-	// CI is within tolerance (trials must then be omitted).
-	Tolerance      float64 `json:"tolerance,omitempty"`
-	TargetQuantile float64 `json:"target_quantile,omitempty"`
-	Confidence     float64 `json:"confidence,omitempty"`
-	MaxTrials      int     `json:"max_trials,omitempty"`
-
-	// TimeoutMS bounds the whole request (see estimateRequest.TimeoutMS).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req scheduleRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	if req.Procs < 1 {
-		writeError(w, errBadRequest("procs must be >= 1, got %d", req.Procs))
+	req.FillDefaults()
+	if err := req.Validate(); err != nil {
+		writeError(w, err)
 		return
 	}
-	if req.Trials < 0 {
-		writeError(w, errBadRequest("negative trials %d", req.Trials))
-		return
-	}
-	policies, err := schedmc.ParsePolicies(req.Policies)
-	if err != nil {
-		writeError(w, errBadRequest("%v", err))
-		return
-	}
-	if err := report.ValidateQuantiles(req.Quantiles); err != nil {
-		writeError(w, errBadRequest("%v", err))
-		return
-	}
-	if req.Trials == 0 && req.Tolerance == 0 {
-		if len(req.Quantiles) > 0 {
-			writeError(w, errBadRequest("quantiles need Monte Carlo trials (trials > 0 or tolerance > 0)"))
-			return
-		}
-		if req.MaxTrials != 0 || req.TargetQuantile != 0 || req.Confidence != 0 {
-			writeError(w, errBadRequest("max_trials, target_quantile and confidence need tolerance > 0"))
-			return
-		}
-	}
-	ctx, cancel, err := s.requestCtx(r, req.TimeoutMS)
+	ctx, e, release, cancel, err := s.start(r, req.graphRef, req.TimeoutMS)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	defer release()
-	e, _, err := s.resolve(ctx, req.graphRef)
+	model, err := req.Model(e.G)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	model, err := buildModel(e.G, req.PFail, req.Lambda)
-	if err != nil {
-		writeError(w, errBadRequest("%v", err))
-		return
-	}
-	// Like handleEstimate: buildSchedule gates its own heavy phases so
-	// the Monte Carlo runs can coalesce across requests.
-	doc, err := s.buildSchedule(ctx, e, model, policies, req)
+	doc, err := req.Run(ctx, e, model, runner{s})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -1001,220 +763,37 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	_ = report.WriteScheduleJSON(w, doc)
 }
 
-// buildSchedule is the warm counterpart of schedsim's document assembly:
-// identical field for field, except the frozen schedule and compiled
-// estimator come from the registry when a previous request already built
-// them (ScheduleEstimator), so a warm request pays only the O(1)
-// reconfiguration plus the trials themselves.
-func (s *Server) buildSchedule(ctx context.Context, e *Entry, model failure.Model, policies []schedmc.Policy, req scheduleRequest) (report.Schedule, error) {
-	doc := report.Schedule{
-		Graph: report.GraphInfo{Tasks: e.G.NumTasks(), Edges: e.G.NumEdges(), MeanWeight: e.G.MeanWeight()},
-		Model: report.ModelInfo{
-			Lambda:        model.Lambda,
-			PFailMeanTask: model.PFail(e.G.MeanWeight()),
-			MTBF:          model.MTBF(),
-		},
-		Procs:        req.Procs,
-		CriticalPath: e.D0,
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	// List scheduling never uses more processors than tasks, so every
-	// count past n shares the schedule, its artifacts and its Monte Carlo
-	// runs with procs = n; only the echoed procs and efficiency use the
-	// requested count.
-	procs := min(req.Procs, max(e.G.NumTasks(), 1))
-	for _, pol := range policies {
-		// Schedule freezing and estimator compilation are heavy; gate
-		// them. The Monte Carlo phase goes through the coalescers.
-		var warm *schedmc.Estimator
-		if err := s.heavy(ctx, func() error {
-			var err error
-			warm, err = e.ScheduleEstimatorContext(ctx, pol, procs, model)
-			if err != nil {
-				return reqErr(err, "%s", pol)
-			}
-			return nil
-		}); err != nil {
-			return doc, err
-		}
-		fs := warm.Schedule()
-		p := report.SchedulePolicy{
-			Policy:      string(pol),
-			Label:       pol.Label(),
-			FailureFree: fs.Makespan,
-			Efficiency:  fs.EfficiencyOn(req.Procs),
-			ChainEdges:  fs.ChainEdges,
-		}
-		if req.Trials > 0 || req.Tolerance != 0 {
-			t0 := time.Now()
-			var mc *report.MonteCarloInfo
-			if req.Tolerance != 0 {
-				run, err := warm.WithConfig(schedmc.Config{
-					Trials:         req.Trials, // nonzero: rejected by the engine
-					Seed:           seed,
-					Workers:        s.workers,
-					Tolerance:      req.Tolerance,
-					TargetQuantile: req.TargetQuantile,
-					Confidence:     req.Confidence,
-					MaxTrials:      req.MaxTrials,
-				})
-				if err != nil {
-					return doc, errBadRequest("%s: %v", pol, err)
-				}
-				key := adaptiveKey{
-					sched: true, policy: pol, procs: procs,
-					lambda: model.Lambda, mode: montecarlo.FullReexecution, seed: seed,
-				}
-				res, snap, err := s.coalesceAdaptive(ctx, e, key, run)
-				if err != nil {
-					return doc, reqErr(err, "%s", pol)
-				}
-				mc = report.MonteCarloInfoFrom(res, seed)
-				mc.Adaptive = report.AdaptiveInfoFrom(res, req.Tolerance, req.TargetQuantile, req.Confidence)
-				if len(req.Quantiles) > 0 {
-					sketch := snap.Sketch()
-					for _, q := range req.Quantiles {
-						mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-					}
-				}
-			} else {
-				run, err := warm.WithConfig(schedmc.Config{
-					Trials:         req.Trials,
-					Seed:           seed,
-					Workers:        s.workers,
-					TargetQuantile: req.TargetQuantile,
-					Confidence:     req.Confidence,
-					MaxTrials:      req.MaxTrials,
-				})
-				if err != nil {
-					return doc, errBadRequest("%s: %v", pol, err)
-				}
-				key := fixedKey{
-					sched: true, policy: pol, procs: procs,
-					lambda: model.Lambda, mode: montecarlo.FullReexecution,
-					seed: seed, trials: req.Trials, sketch: len(req.Quantiles) > 0,
-				}
-				res, sketch, err := s.coalesceFixed(ctx, e, key, func(fctx context.Context) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
-					var res montecarlo.Result
-					var sk *montecarlo.QuantileSketch
-					err := s.heavy(fctx, func() error {
-						var err error
-						if key.sketch {
-							res, sk, err = run.RunQuantilesContext(fctx)
-						} else {
-							res, err = run.RunContext(fctx)
-						}
-						return err
-					})
-					return res, sk, err
-				})
-				if err != nil {
-					return doc, reqErr(err, "%s", pol)
-				}
-				mc = report.MonteCarloInfoFrom(res, seed)
-				for _, q := range req.Quantiles {
-					mc.Quantiles = append(mc.Quantiles, report.QuantileValue{Q: q, Value: sketch.Quantile(q)})
-				}
-			}
-			mc.Time = time.Since(t0)
-			p.MonteCarlo = mc
-		}
-		doc.Policies = append(doc.Policies, p)
-	}
-	return doc, nil
-}
-
-// sweepRequest mirrors `experiments -sweep`: LU k=10 across five pfail
-// decades by default, methods defaulting to the paper's three, trials 0
-// selecting the paper's 300,000.
-type sweepRequest struct {
-	graphRef
-	PFails     []float64 `json:"pfails,omitempty"`
-	Methods    string    `json:"methods,omitempty"`
-	Trials     int       `json:"trials,omitempty"`
-	Seed       *uint64   `json:"seed,omitempty"`
-	DodinAtoms int       `json:"dodin_atoms,omitempty"`
-
-	// TimeoutMS bounds the whole request (see estimateRequest.TimeoutMS).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel, err := s.requestCtx(r, req.TimeoutMS)
+	if err := req.Validate(); err != nil {
+		writeError(w, err)
+		return
+	}
+	if req.IsZero() {
+		// Zero-config parity with `experiments -sweep`.
+		req.graphRef = DefaultSweepSelector()
+	}
+	ctx, e, release, cancel, err := s.start(r, req.graphRef, req.TimeoutMS)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	defer release()
-	def := experiments.DefaultSweep()
-	if req.IsZero() {
-		// Zero-config parity with `experiments -sweep`.
-		req.Kind, req.K = string(def.Fact), def.K
-	}
-	e, _, err := s.resolve(ctx, req.graphRef)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	meta := e.Meta()
-	spec := experiments.SweepSpec{
-		Fact:   linalg.Factorization(meta.Kind),
-		K:      meta.K,
-		PFails: req.PFails,
-	}
-	if len(spec.PFails) == 0 {
-		spec.PFails = def.PFails
-	}
-	for _, pf := range spec.PFails {
-		if pf <= 0 || pf >= 1 {
-			writeError(w, errBadRequest("sweep pfail %g outside (0,1)", pf))
-			return
-		}
-	}
-	var methods []experiments.Method
-	if req.Methods != "" && req.Methods != "paper" {
-		methods, err = experiments.ParseMethods(req.Methods)
-		if err != nil {
-			writeError(w, errBadRequest("%v", err))
-			return
-		}
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	opts := experiments.Options{
-		Trials:        req.Trials,
-		Seed:          seed,
-		Methods:       methods,
-		DodinMaxAtoms: req.DodinAtoms,
-		Workers:       s.workers,
-		Context:       ctx,
-	}
 	// The sweep resolves its shared artifacts — Dodin plan, per-λ Monte
 	// Carlo estimators — through the registry's store, so repeat sweeps
 	// (and estimates touching the same artifacts) stay warm.
-	opts.Artifacts = s.reg.Store()
+	opts := req.Options(experiments.Options{Workers: s.workers, Context: ctx, Artifacts: s.reg.Store()})
 	var res experiments.SweepResult
 	if err := s.heavy(ctx, func() error {
 		var err error
-		res, err = experiments.RunSweepGraph(e.Artifact(), spec, opts)
-		if err != nil {
-			return reqErr(err, "sweep")
+		if res, err = experiments.RunSweepGraph(e.Artifact(), req.Spec(meta.Kind, meta.K), opts); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 		return nil
 	}); err != nil {
@@ -1224,6 +803,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = report.WriteSweepJSON(w, res, opts.Methods)
+}
+
+// runner is makespand's query.Runner: heavy phases hold the compute
+// gate, and Monte Carlo runs go through the entry's coalescers (whose
+// kernels take the gate themselves), so requests sharing a trial stream
+// share one kernel run. The graphs it is handed are registry entries.
+type runner struct{ s *Server }
+
+func (r runner) Workers() int                      { return r.s.workers }
+func (r runner) Acquire(ctx context.Context) error { return r.s.acquire(ctx) }
+func (r runner) Release()                          { <-r.s.gate }
+
+func (r runner) Fixed(ctx context.Context, g query.Graph, key query.FixedKey, k query.Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
+	return r.s.coalesceFixed(ctx, g.(*Entry), key, k)
+}
+
+func (r runner) Adaptive(ctx context.Context, g query.Graph, key artifact.SnapshotKey, k query.Kernel) (montecarlo.Result, *montecarlo.Snapshot, error) {
+	return r.s.coalesceAdaptive(ctx, g.(*Entry), key, k)
 }
 
 // kindStatsJSON is one artifact kind's row in GET /v1/cache.

@@ -10,6 +10,9 @@ package makespan
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bounds"
@@ -416,10 +419,60 @@ func TestParitySched(t *testing.T) {
 	}
 }
 
-// Monte Carlo: the fused sampler must agree with the legacy v1 stream
-// within the joint 95% confidence interval, in both modes, and the
-// second-order/bottom-level consumers of the frozen path must stay inside
-// the analytic bracket.
+// refMonteCarlo is the v1 Monte Carlo engine, kept as the fused
+// sampler's statistical oracle: trials split over GOMAXPROCS workers,
+// each with its own PCG stream, and every trial two passes — sample
+// every task's attempt count by a rejection loop, then evaluate the
+// longest path on the sampled weights.
+func refMonteCarlo(g *dag.Graph, m failure.Model, mode montecarlo.Mode, trials int, seed uint64) (montecarlo.Result, error) {
+	n := g.NumTasks()
+	pfail := make([]float64, n)
+	for i := range pfail {
+		pfail[i] = m.PFail(g.Weight(i))
+	}
+	workers := min(runtime.GOMAXPROCS(0), trials)
+	accs := make([]montecarlo.Welford, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		pe, err := dag.NewPathEvaluator(g)
+		if err != nil {
+			return montecarlo.Result{}, err
+		}
+		wg.Add(1)
+		go func(w int, pe *dag.PathEvaluator) {
+			defer wg.Done()
+			rng := randv2.New(randv2.NewPCG(seed, uint64(w)+0x9e3779b97f4a7c15))
+			weights := make([]float64, n)
+			for t := w; t < trials; t += workers {
+				for i, pf := range pfail {
+					attempts := 1
+					switch {
+					case pf == 0:
+					case mode == montecarlo.SingleRetry:
+						if rng.Float64() < pf {
+							attempts = 2
+						}
+					default:
+						for rng.Float64() < pf {
+							attempts++
+						}
+					}
+					weights[i] = float64(attempts) * g.Weight(i)
+				}
+				accs[w].Add(pe.MakespanWith(weights))
+			}
+		}(w, pe)
+	}
+	wg.Wait()
+	var total montecarlo.Welford
+	for i := range accs {
+		total.Merge(accs[i])
+	}
+	return montecarlo.Result{Mean: total.Mean(), CI95: total.CI95(), Trials: int(total.N())}, nil
+}
+
+// Monte Carlo: the fused sampler must agree with the v1 reference
+// engine within the joint 95% confidence interval, in both modes.
 func TestParityMonteCarloAgainstLegacy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -437,7 +490,7 @@ func TestParityMonteCarloAgainstLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := montecarlo.Estimate(g, m, montecarlo.Config{Trials: 60000, Seed: 9, Mode: tc.mode, LegacySampler: true})
+		legacy, err := refMonteCarlo(g, m, tc.mode, 60000, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

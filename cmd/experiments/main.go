@@ -265,10 +265,9 @@ func sweepSpec(kind string, k int, pfails string, allMethods bool, opts *experim
 	if p.PFails, err = parsePFails(pfails); err != nil {
 		return def, err
 	}
-	if err := p.Validate(); err != nil {
+	if *opts, err = p.Options(*opts); err != nil {
 		return def, err
 	}
-	*opts = p.Options(*opts)
 	return p.Spec(kind, k), nil
 }
 

@@ -81,18 +81,12 @@ func main() {
 	flag.Float64Var(&o.q.Confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
 	flag.IntVar(&o.q.MaxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
 	flag.Parse()
-	if o.q.Tolerance != 0 {
-		// -trials has a nonzero default; only an explicit -trials should
-		// conflict with -tolerance (the engine rejects the combination).
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "trials" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			o.q.Trials = 0
-		}
+	// -trials has a nonzero default; only an explicit -trials should
+	// conflict with -tolerance (the engine rejects the combination).
+	explicit := false
+	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "trials" })
+	if o.q.Tolerance != 0 && !explicit {
+		o.q.Trials = 0
 	}
 	// Ctrl-C / SIGTERM cancels the run context: artifact builds stop
 	// between rules and the simulation aborts at the next chunk boundary,
@@ -149,7 +143,8 @@ func validate(o options) (p query.Schedule, over schedmc.Overheads, err error) {
 	if p.Trials == 0 && p.Tolerance == 0 {
 		p.Trials = montecarlo.DefaultTrials
 	}
-	return p, over, p.Validate()
+	err = p.Validate()
+	return p, over, err
 }
 
 func run(ctx context.Context, o options, out io.Writer) error {
@@ -187,8 +182,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	if o.gantt {
+		// The schedule Run built: it used the clamped processor count.
+		procs := p.ListProcs(tg.NumTasks())
 		for _, pol := range doc.Policies {
-			warm, err := lg.ScheduleEstimatorContext(ctx, schedmc.Policy(pol.Policy), p.Procs, tm)
+			warm, err := lg.ScheduleEstimatorContext(ctx, schedmc.Policy(pol.Policy), procs, tm)
 			if err != nil {
 				return err
 			}

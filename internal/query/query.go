@@ -117,7 +117,7 @@ type Estimate struct {
 	Confidence     float64   `json:"confidence,omitempty"`      // adaptive stopping level (0 = 0.95)
 	MaxTrials      int       `json:"max_trials,omitempty"`      // adaptive cap (0 = 300,000)
 
-	methods []experiments.Method // set by Validate
+	methods []experiments.Method // set by Validate (Run validates p if unset)
 }
 
 func (p *Estimate) mc() monteCarlo {
@@ -168,7 +168,7 @@ type Schedule struct {
 	Confidence     float64   `json:"confidence,omitempty"`      // as in Estimate
 	MaxTrials      int       `json:"max_trials,omitempty"`      // as in Estimate
 
-	policies []schedmc.Policy // set by Validate
+	policies []schedmc.Policy // set by Validate (Run validates p if unset)
 }
 
 func (p *Schedule) mc() monteCarlo {
@@ -239,11 +239,13 @@ func (p *Sweep) Spec(kind string, k int) experiments.SweepSpec {
 	return spec
 }
 
-// Options returns opts with p's trial budget, seed, methods and Dodin
-// cap filled in; the caller supplies workers, context and store.
-func (p *Sweep) Options(opts experiments.Options) experiments.Options {
+// Options validates p and returns opts with p's trial budget, seed,
+// methods and Dodin cap filled in; the caller supplies workers, context
+// and store.
+func (p *Sweep) Options(opts experiments.Options) (experiments.Options, error) {
+	err := p.Validate()
 	opts.Trials, opts.Seed, opts.Methods, opts.DodinMaxAtoms = p.Trials, seedOr(p.Seed), p.methods, p.DodinAtoms
-	return opts
+	return opts, err
 }
 
 // StatusClientClosedRequest is nginx's non-standard 499: the client went

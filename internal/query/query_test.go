@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
 )
@@ -182,5 +183,49 @@ func TestFillDefaultsAndModel(t *testing.T) {
 	s.FillDefaults()
 	if s.PFail != 0.02 {
 		t.Fatalf("FillDefaults overrode an explicit pfail: %v", s.PFail)
+	}
+}
+
+// Run and Options parse the selectors themselves: a query copied before
+// Validate answers the same document as a validated one, and a bad
+// selector fails loudly instead of running no methods or policies.
+func TestRunWithoutValidate(t *testing.T) {
+	g, err := linalg.Generate(linalg.FactLU, 3, linalg.KernelTimes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := NewLocal(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	est := Estimate{Methods: "First Order,Normal", PFail: 0.01}
+	m, err := est.Model(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc, err := est.Run(ctx, lg, m, Direct(1)); err != nil || len(doc.Methods) != 2 {
+		t.Fatalf("estimate: %d methods, err %v", len(doc.Methods), err)
+	}
+	sch := Schedule{Procs: 2, Policies: "cp", PFail: 0.01}
+	if doc, err := sch.Run(ctx, lg, m, Direct(1)); err != nil || len(doc.Policies) != 1 {
+		t.Fatalf("schedule: %d policies, err %v", len(doc.Policies), err)
+	}
+	sw := Sweep{Methods: "Dodin"}
+	if opts, err := sw.Options(experiments.Options{}); err != nil || len(opts.Methods) != 1 {
+		t.Fatalf("sweep: methods %v, err %v", opts.Methods, err)
+	}
+
+	bad := Estimate{Methods: "Nope"}
+	if _, err := bad.Run(ctx, lg, m, Direct(1)); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("estimate with a bad selector: %v", err)
+	}
+	badSch := Schedule{Procs: 2, Policies: "nope"}
+	if _, err := badSch.Run(ctx, lg, m, Direct(1)); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Fatalf("schedule with a bad selector: %v", err)
+	}
+	badSw := Sweep{Methods: "Nope"}
+	if _, err := badSw.Options(experiments.Options{}); err == nil {
+		t.Fatal("sweep with a bad selector: no error")
 	}
 }

@@ -44,17 +44,29 @@ type FixedKey struct {
 	Sketch bool                 // the run also builds a quantile sketch
 }
 
-// Runner runs a query's heavy work. Acquire/Release bracket each
+// Runner runs a query's heavy work. Acquire and Release bracket each
 // CPU-bound phase that is not a Monte Carlo run (bounds, analytic
-// methods, schedule freezing); Fixed and Adaptive run a kernel for the
-// given stream of g. Every Runner must return what a direct run
-// returns, bit for bit.
+// methods, schedule freezing); callers go through Gated.
+// Fixed and Adaptive run a kernel for the given stream of g. Every
+// Runner must return what a direct run returns, bit for bit.
 type Runner interface {
 	Workers() int
 	Acquire(ctx context.Context) error
 	Release()
 	Fixed(ctx context.Context, g Graph, key FixedKey, k Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error)
 	Adaptive(ctx context.Context, g Graph, key artifact.SnapshotKey, k Kernel) (montecarlo.Result, *montecarlo.Snapshot, error)
+}
+
+// Gated runs fn between r.Acquire and r.Release, releasing in a defer
+// so a phase that panics (and a server that recovers it) cannot keep
+// the gate. Being a plain function rather than a Runner method, it
+// lets fn and what fn captures stay on the caller's stack.
+func Gated(ctx context.Context, r Runner, fn func() error) error {
+	if err := r.Acquire(ctx); err != nil {
+		return err
+	}
+	defer r.Release()
+	return fn()
 }
 
 // RunFixed runs a fixed-budget kernel, with a quantile sketch when
@@ -142,11 +154,12 @@ func (p *Estimate) Run(ctx context.Context, g Graph, model failure.Model, r Runn
 	ga := g.Artifact()
 	est := report.Estimate{FailureFree: ga.D0}
 	est.Graph, est.Model = header(ga.G, model)
-	if err := r.Acquire(ctx); err != nil {
-		return est, err
+	if p.methods == nil {
+		if err := p.Validate(); err != nil {
+			return est, err
+		}
 	}
-	err := p.analytic(ctx, g, model, &est)
-	r.Release()
+	err := Gated(ctx, r, func() error { return p.analytic(ctx, g, model, &est) })
 	mc := p.mc()
 	if err != nil || !mc.enabled() {
 		return est, err
@@ -222,16 +235,22 @@ func (p *Schedule) Run(ctx context.Context, g Graph, model failure.Model, r Runn
 	ga := g.Artifact()
 	doc := report.Schedule{Procs: p.Procs, CriticalPath: ga.D0}
 	doc.Graph, doc.Model = header(ga.G, model)
-	procs := min(p.Procs, max(ga.G.NumTasks(), 1))
-	mc := p.mc()
-	for _, pol := range p.policies {
-		if err := r.Acquire(ctx); err != nil {
+	procs := p.ListProcs(ga.G.NumTasks())
+	if p.policies == nil {
+		if err := p.Validate(); err != nil {
 			return doc, err
 		}
-		warm, err := g.ScheduleEstimatorContext(ctx, pol, procs, model)
-		r.Release()
-		if err != nil {
-			return doc, fmt.Errorf("%s: %w", pol, err)
+	}
+	mc := p.mc()
+	for _, pol := range p.policies {
+		var warm *schedmc.Estimator
+		if err := Gated(ctx, r, func() (err error) {
+			if warm, err = g.ScheduleEstimatorContext(ctx, pol, procs, model); err != nil {
+				err = fmt.Errorf("%s: %w", pol, err)
+			}
+			return err
+		}); err != nil {
+			return doc, err
 		}
 		fs := warm.Schedule()
 		entry := report.SchedulePolicy{
@@ -258,6 +277,10 @@ func (p *Schedule) Run(ctx context.Context, g Graph, model failure.Model, r Runn
 	}
 	return doc, nil
 }
+
+// ListProcs is the processor count p's schedules are built on for a
+// graph of the given task count: p.Procs, capped at the task count.
+func (p *Schedule) ListProcs(tasks int) int { return min(p.Procs, max(tasks, 1)) }
 
 // config is the engine configuration of m's run.
 func (m *monteCarlo) config(workers int) montecarlo.Config {

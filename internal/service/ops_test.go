@@ -19,6 +19,9 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
+	"repro/internal/query"
+	"repro/internal/schedmc"
+	"repro/internal/spgraph"
 )
 
 // This file tests the production-hardening surface: admission control
@@ -229,6 +232,64 @@ func TestPanicRecoveryIsolation(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", code)
+	}
+}
+
+// panicGraph is a registry entry whose Dodin plan and frozen schedules
+// panic as they are built, inside the queries' gated phases.
+type panicGraph struct{ *Entry }
+
+func (panicGraph) PlanContext(context.Context, int, failure.Model) (*spgraph.Plan, error) {
+	panic("boom")
+}
+
+func (panicGraph) ScheduleEstimatorContext(context.Context, schedmc.Policy, int, failure.Model) (*schedmc.Estimator, error) {
+	panic("boom")
+}
+
+// A panic inside a gated phase — bounds, an analytic method, schedule
+// freezing — gives the compute gate back as it unwinds, so the requests
+// after it are served instead of waiting out their deadlines.
+func TestPanicInGatedPhaseReleasesGate(t *testing.T) {
+	s, ts := opsServer(t, Config{Workers: 1})
+	// A leaked gate fails the next phase at this deadline, not never.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	e, _, err := s.resolve(ctx, graphRef{Kind: "lu", K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := failure.New(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(){
+		"estimate": func() {
+			p := query.Estimate{Methods: "Dodin"}
+			_, _ = p.Run(ctx, panicGraph{e}, model, runner{s})
+		},
+		"schedule": func() {
+			p := query.Schedule{Procs: 2}
+			_, _ = p.Run(ctx, panicGraph{e}, model, runner{s})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: gated phase did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/estimate", `{"kind":"lu","k":4,"bounds":true,"timeout_ms":5000}`},
+		{"/v1/schedule", `{"kind":"lu","k":4,"procs":2,"timeout_ms":5000}`},
+	} {
+		if code, body := post(t, ts, c.path, c.body); code != http.StatusOK {
+			t.Fatalf("%s after a gated panic: %d %s", c.path, code, body)
+		}
 	}
 }
 

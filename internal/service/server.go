@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/dag"
 	"repro/internal/experiments"
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
@@ -365,11 +367,7 @@ func errTooBusy(wait time.Duration) error {
 // process at ~Workers estimation goroutines under any client load. A
 // context that dies while waiting for the gate abandons the wait.
 func (s *Server) heavy(ctx context.Context, fn func() error) error {
-	if err := s.acquire(ctx); err != nil {
-		return err
-	}
-	defer func() { <-s.gate }()
-	return fn()
+	return query.Gated(ctx, runner{s}, fn)
 }
 
 // acquire takes the compute gate; release it with <-s.gate.
@@ -697,42 +695,33 @@ func (s *Server) start(r *http.Request, ref graphRef, timeoutMS int64) (ctx cont
 	return ctx, e, release, cancel, nil
 }
 
+// queryRequest is an estimate or schedule request body, answered with
+// a document of type D.
+type queryRequest[D any] interface {
+	requestBody
+	FillDefaults()
+	Validate() error
+	Model(*dag.Graph) (failure.Model, error)
+	Run(context.Context, query.Graph, failure.Model, query.Runner) (D, error)
+	target() (graphRef, int64)
+}
+
+func (q *estimateRequest) target() (graphRef, int64) { return q.graphRef, q.TimeoutMS }
+func (q *scheduleRequest) target() (graphRef, int64) { return q.graphRef, q.TimeoutMS }
+
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req estimateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	req.FillDefaults()
-	if err := req.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, e, release, cancel, err := s.start(r, req.graphRef, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	defer release()
-	model, err := req.Model(e.G)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	est, err := req.Run(ctx, e, model, runner{s})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = report.WriteEstimateJSON(w, est)
+	serveQuery(s, w, r, &estimateRequest{}, report.WriteEstimateJSON)
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req scheduleRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	serveQuery(s, w, r, &scheduleRequest{}, report.WriteScheduleJSON)
+}
+
+// serveQuery is the estimate and schedule routes' one path: decode,
+// default and validate req, admit and resolve its graph, build the
+// failure model, run the query and render its document.
+func serveQuery[D any](s *Server, w http.ResponseWriter, r *http.Request, req queryRequest[D], render func(io.Writer, D) error) {
+	if err := decodeJSON(w, r, req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -741,7 +730,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, e, release, cancel, err := s.start(r, req.graphRef, req.TimeoutMS)
+	ref, timeoutMS := req.target()
+	ctx, e, release, cancel, err := s.start(r, ref, timeoutMS)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -760,7 +750,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = report.WriteScheduleJSON(w, doc)
+	_ = render(w, doc)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -769,7 +759,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := req.Validate(); err != nil {
+	// The sweep resolves its shared artifacts — Dodin plan, per-λ Monte
+	// Carlo estimators — through the registry's store, so repeat sweeps
+	// (and estimates touching the same artifacts) stay warm.
+	opts, err := req.Options(experiments.Options{Workers: s.workers, Artifacts: s.reg.Store()})
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -785,10 +779,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer release()
 	meta := e.Meta()
-	// The sweep resolves its shared artifacts — Dodin plan, per-λ Monte
-	// Carlo estimators — through the registry's store, so repeat sweeps
-	// (and estimates touching the same artifacts) stay warm.
-	opts := req.Options(experiments.Options{Workers: s.workers, Context: ctx, Artifacts: s.reg.Store()})
+	opts.Context = ctx
 	var res experiments.SweepResult
 	if err := s.heavy(ctx, func() error {
 		var err error

@@ -81,12 +81,18 @@ func main() {
 	flag.Float64Var(&o.q.Confidence, "confidence", 0, "adaptive MC: stopping confidence level (default 0.95)")
 	flag.IntVar(&o.q.MaxTrials, "max-trials", 0, "adaptive MC: trial cap (default 300000, rounded up to whole chunks)")
 	flag.Parse()
-	// -trials has a nonzero default; only an explicit -trials should
-	// conflict with -tolerance (the engine rejects the combination).
-	explicit := false
-	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "trials" })
-	if o.q.Tolerance != 0 && !explicit {
-		o.q.Trials = 0
+	if o.q.Tolerance != 0 {
+		// -trials has a nonzero default; only an explicit -trials should
+		// conflict with -tolerance (the engine rejects the combination).
+		explicit := false
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "trials" {
+				explicit = true
+			}
+		})
+		if !explicit {
+			o.q.Trials = 0
+		}
 	}
 	// Ctrl-C / SIGTERM cancels the run context: artifact builds stop
 	// between rules and the simulation aborts at the next chunk boundary,

@@ -37,7 +37,8 @@ type Kernel interface {
 }
 
 // FixedKey identifies a fixed-budget Monte Carlo run of one graph: its
-// trial stream, the trial count and whether it keeps a quantile sketch.
+// trial stream, the trial count and whether it keeps a quantile sketch
+// (so a mean-only run never waits on a sketch it did not ask for).
 type FixedKey struct {
 	Stream artifact.SnapshotKey // the trial stream, keyed like an adaptive run's snapshot
 	Trials int                  // the fixed budget

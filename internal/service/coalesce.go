@@ -21,7 +21,7 @@ import (
 // point is a prefix of the same stream a solo run would consume, a
 // waiter's response is byte-identical to the run it would have done
 // alone. The converged snapshot is retained as a "snap" artifact in
-// the store (keyed by the entry's graph plus this file's adaptiveKey)
+// the store (keyed by the entry's graph plus this file's artifact.SnapshotKey)
 // so later requests (same or looser tolerance) are answered without
 // any trials, and tighter ones extend it instead of restarting; the
 // store's Put gives replacement delta accounting and eviction under
@@ -46,10 +46,6 @@ import (
 // Lock order: Entry.mu → adaptiveSlot.mu → inflightRun.mu. Snapshot
 // store access (which takes the resolver lock, possibly then
 // Registry.mu via graph eviction) nests under adaptiveSlot.mu.
-
-// adaptiveKey identifies one shareable adaptive trial stream of an
-// entry — the key its retained snapshot is stored under.
-type adaptiveKey = artifact.SnapshotKey
 
 // adaptiveSlot is the per-key coalescing state: the in-flight run, if
 // any. The retained prefix snapshot itself lives in the artifact store
@@ -147,7 +143,7 @@ func (r *inflightRun) deliver(cur *montecarlo.Snapshot, final bool, res montecar
 
 // adaptiveSlotFor returns (creating if needed) the entry's coalescing
 // slot for key.
-func (e *Entry) adaptiveSlotFor(key adaptiveKey) *adaptiveSlot {
+func (e *Entry) adaptiveSlotFor(key artifact.SnapshotKey) *adaptiveSlot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	slot := e.adapts[key]
@@ -168,7 +164,7 @@ func (e *Entry) adaptiveSlotFor(key adaptiveKey) *adaptiveSlot {
 // retry, so the loop terminates. A cancelled request detaches without
 // disturbing the flight; a flight killed by everyone else's lapsed
 // interest is retried, never surfaced.
-func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key adaptiveKey, runner query.Kernel) (montecarlo.Result, *montecarlo.Snapshot, error) {
+func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key artifact.SnapshotKey, runner query.Kernel) (montecarlo.Result, *montecarlo.Snapshot, error) {
 	slot := e.adaptiveSlotFor(key)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -228,7 +224,7 @@ func (s *Server) coalesceAdaptive(ctx context.Context, e *Entry, key adaptiveKey
 // prev under the flight context, releasing waiters as the shared prefix
 // satisfies them, then retains the grown snapshot and sweeps the
 // stragglers. It runs under the compute gate like any other kernel.
-func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiveSlot, key adaptiveKey, run *inflightRun, runner query.Kernel, prev *montecarlo.Snapshot) {
+func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiveSlot, key artifact.SnapshotKey, run *inflightRun, runner query.Kernel, prev *montecarlo.Snapshot) {
 	defer run.cancel() // release the flight context's resources
 	var res montecarlo.Result
 	var snap *montecarlo.Snapshot
@@ -256,11 +252,6 @@ func (s *Server) runAdaptiveFlight(fctx context.Context, e *Entry, slot *adaptiv
 	run.deliver(snap, true, res, err)
 	slot.mu.Unlock()
 }
-
-// fixedKey identifies one shareable fixed-budget run. Its sketch flag is
-// part of the identity so a mean-only request never pays for (or waits
-// on) a quantile sketch it didn't ask for.
-type fixedKey = query.FixedKey
 
 // fixedFlight is one in-flight fixed-budget run; followers block on
 // done and then read the leader's fields (written before close).
@@ -304,7 +295,7 @@ var testHookFixedLeader func(f *fixedFlight)
 // retaining. The kernel runs under the compute gate and the flight
 // context, so it aborts at its next chunk boundary once every
 // participant has detached.
-func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key fixedKey, kernel query.Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
+func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key query.FixedKey, kernel query.Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return montecarlo.Result{}, nil, err

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
@@ -368,7 +369,7 @@ func TestAdaptiveLeaderCancelHandsOffToWaiter(t *testing.T) {
 	}
 	defer faultinject.Disarm()
 
-	key := adaptiveKey{Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: 42}
+	key := artifact.SnapshotKey{Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: 42}
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
 	leaderErr := make(chan error, 1)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/failure"
 	"repro/internal/montecarlo"
+	"repro/internal/query"
 	"repro/internal/schedmc"
 	"repro/internal/spgraph"
 )
@@ -56,8 +57,8 @@ type Entry struct {
 
 	mu     sync.Mutex
 	meta   GraphMeta // guarded: upgradeable from "custom" to a generator label
-	adapts map[adaptiveKey]*adaptiveSlot
-	fixed  map[fixedKey]*fixedFlight
+	adapts map[artifact.SnapshotKey]*adaptiveSlot
+	fixed  map[query.FixedKey]*fixedFlight
 
 	// kernelRuns counts Monte Carlo kernel executions this entry paid
 	// for; coalesced requests share one (see coalesce.go).
@@ -190,8 +191,8 @@ func newEntry(r *Registry, ga *artifact.Graph, meta GraphMeta) *Entry {
 		Frozen:    ga.Frozen,
 		D0:        ga.D0,
 		meta:      meta,
-		adapts:    make(map[adaptiveKey]*adaptiveSlot),
-		fixed:     make(map[fixedKey]*fixedFlight),
+		adapts:    make(map[artifact.SnapshotKey]*adaptiveSlot),
+		fixed:     make(map[query.FixedKey]*fixedFlight),
 	}
 }
 
@@ -265,10 +266,6 @@ func (r *Registry) Stats() RegistryStats {
 	}
 }
 
-// normAtoms maps a request's Dodin atom cap onto the plan-rule key:
-// 0 means the spgraph default, negative means unlimited.
-func normAtoms(atoms int) int { return artifact.NormAtoms(atoms) }
-
 // resident reports whether the entry's graph is still the store's
 // artifact for its content address. Requests already holding an evicted
 // entry keep working — its artifacts just stop being cached (and stop
@@ -336,7 +333,7 @@ func (e *Entry) ScheduleEstimatorContext(ctx context.Context, policy schedmc.Pol
 // snapshot returns the retained adaptive prefix for key, if any (see
 // coalesce.go). touch selects a warm lookup (counts a snapshot hit)
 // versus a silent peek for compare-before-replace.
-func (e *Entry) snapshot(key adaptiveKey, touch bool) (*montecarlo.Snapshot, bool) {
+func (e *Entry) snapshot(key artifact.SnapshotKey, touch bool) (*montecarlo.Snapshot, bool) {
 	if !e.resident() {
 		return nil, false
 	}
@@ -349,7 +346,7 @@ func (e *Entry) snapshot(key adaptiveKey, touch bool) (*montecarlo.Snapshot, boo
 // putSnapshot retains snap as the entry's snapshot artifact for key.
 // Dropped silently when the entry was evicted: an evicted graph's
 // snapshots would be unreachable anyway.
-func (e *Entry) putSnapshot(key adaptiveKey, snap *montecarlo.Snapshot) {
+func (e *Entry) putSnapshot(key artifact.SnapshotKey, snap *montecarlo.Snapshot) {
 	if !e.resident() {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/dag"
 	"repro/internal/failure"
 	"repro/internal/linalg"
@@ -230,13 +231,13 @@ func TestEntryArtifactSingleflight(t *testing.T) {
 // The atom-cap cache key must collapse the spellings of the default and
 // of "unlimited".
 func TestNormAtoms(t *testing.T) {
-	if normAtoms(0) != normAtoms(64) {
+	if artifact.NormAtoms(0) != artifact.NormAtoms(64) {
 		t.Fatal("0 and 64 (the default) keyed differently")
 	}
-	if normAtoms(-1) != normAtoms(-7) {
+	if artifact.NormAtoms(-1) != artifact.NormAtoms(-7) {
 		t.Fatal("negative caps (unlimited) keyed differently")
 	}
-	if normAtoms(32) == normAtoms(64) {
+	if artifact.NormAtoms(32) == artifact.NormAtoms(64) {
 		t.Fatal("distinct caps collided")
 	}
 }

@@ -445,11 +445,7 @@ func writeError(w http.ResponseWriter, err error) {
 	} else {
 		status = query.Status(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

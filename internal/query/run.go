@@ -47,9 +47,9 @@ type FixedKey struct {
 
 // Runner runs a query's heavy work. Acquire and Release bracket each
 // CPU-bound phase that is not a Monte Carlo run (bounds, analytic
-// methods, schedule freezing); callers go through Gated.
-// Fixed and Adaptive run a kernel for the given stream of g. Every
-// Runner must return what a direct run returns, bit for bit.
+// methods, schedule freezing), always through Gated; Fixed and Adaptive
+// run a kernel for the given stream of g. Every Runner must return what
+// a direct run returns, bit for bit.
 type Runner interface {
 	Workers() int
 	Acquire(ctx context.Context) error

@@ -21,7 +21,7 @@ import (
 // point is a prefix of the same stream a solo run would consume, a
 // waiter's response is byte-identical to the run it would have done
 // alone. The converged snapshot is retained as a "snap" artifact in
-// the store (keyed by the entry's graph plus this file's artifact.SnapshotKey)
+// the store (keyed by the entry's graph plus the stream's SnapshotKey)
 // so later requests (same or looser tolerance) are answered without
 // any trials, and tighter ones extend it instead of restarting; the
 // store's Put gives replacement delta accounting and eviction under

@@ -54,10 +54,9 @@ func Kinds() []string {
 // and safe for concurrent use; the pools hand out per-goroutine
 // scratch, never shared mid-flight.
 type Graph struct {
-	// ID is the content address: "sha256:" + hex digest of Canonical.
+	// ID is the content address: "sha256:" + hex digest of the graph's
+	// canonical JSON (dag.Graph.AppendJSON), which is not kept.
 	ID string
-	// Canonical is the canonical DAG JSON whose digest is ID.
-	Canonical []byte
 	// G is the parsed mutable graph (adjacency, weights, names).
 	G *dag.Graph
 	// Frozen is the compiled CSR form the kernels run on.
@@ -141,9 +140,10 @@ func scheduleKey(id string, policy schedmc.Policy, procs int, lambda float64) Ke
 
 // SnapshotKey identifies one retained adaptive chunk stream: the
 // engine (unbounded-processor or a frozen schedule), the failure rate,
-// the sampling mode and the seed. Deliberately NOT the stopping rule
-// (tolerance/target/confidence): the stream is chunk-deterministic, so
-// one retained prefix serves every rule.
+// the sampling mode, the seed and whether the stream carries a quantile
+// sketch. Deliberately NOT the stopping rule (tolerance/confidence): the
+// stream is chunk-deterministic, so one retained prefix serves every
+// rule.
 type SnapshotKey struct {
 	// Sched selects the frozen-schedule engine over the
 	// unbounded-processor one.
@@ -158,11 +158,15 @@ type SnapshotKey struct {
 	Mode montecarlo.Mode
 	// Seed is the stream's RNG seed.
 	Seed uint64
+	// Sketch selects the plain trial stream with a quantile sketch
+	// (montecarlo.Config.Sketch) over the stratified one: the two
+	// streams' prefixes never stand in for each other.
+	Sketch bool
 }
 
 func snapshotKey(id string, k SnapshotKey) Key {
-	return Key(fmt.Sprintf("%s/%s/%t/%s/%d/%s/%d/%d",
-		KindSnapshot, id, k.Sched, k.Policy, k.Procs, lambdaKey(k.Lambda), k.Mode, k.Seed))
+	return Key(fmt.Sprintf("%s/%s/%t/%s/%d/%s/%d/%d/%t",
+		KindSnapshot, id, k.Sched, k.Policy, k.Procs, lambdaKey(k.Lambda), k.Mode, k.Seed, k.Sketch))
 }
 
 // graphSizeEstimate approximates the retained size of the mutable
@@ -237,7 +241,7 @@ func (s *Store) maybeShed() {
 // freezes the graph and assembles the pools; size is the canonical
 // JSON plus the frozen arrays plus the mutable-graph estimate —
 // exactly the registry's historical accounting.
-func graphRequest(id string, canonical []byte, g *dag.Graph) Request {
+func graphRequest(id string, g *dag.Graph) Request {
 	return Request{
 		Kind: KindGraph,
 		Key:  graphKey(id),
@@ -250,13 +254,12 @@ func graphRequest(id string, canonical []byte, g *dag.Graph) Request {
 				return nil, 0, err
 			}
 			ga := &Graph{
-				ID:        id,
-				Canonical: canonical,
-				G:         g,
-				Frozen:    frozen,
-				D0:        frozen.Makespan(),
-				key:       graphKey(id),
-				size:      int64(len(canonical)) + frozen.SizeBytes() + graphSizeEstimate(g),
+				ID:     id,
+				G:      g,
+				Frozen: frozen,
+				D0:     frozen.Makespan(),
+				key:    graphKey(id),
+				size:   frozen.SizeBytes() + graphSizeEstimate(g),
 			}
 			ga.sweepers.New = func() any { return bounds.NewSweeperFrozen(frozen) }
 			ga.paths.New = func() any { return dag.NewPathEvaluatorFrozen(frozen) }
@@ -288,9 +291,8 @@ func (s *Store) Graph(g *dag.Graph) (*Graph, bool, error) {
 // cancellable, while the build itself aborts only when every interested
 // request has detached (see Resolver.ResolveContext).
 func (s *Store) GraphContext(ctx context.Context, g *dag.Graph) (*Graph, bool, error) {
-	canonical := g.AppendJSON(nil)
-	id := GraphID(canonical)
-	v, built, err := s.res.ResolveBuiltContext(ctx, graphRequest(id, canonical, g))
+	id := GraphID(g.AppendJSON(nil))
+	v, built, err := s.res.ResolveBuiltContext(ctx, graphRequest(id, g))
 	if err != nil {
 		return nil, false, err
 	}

@@ -44,28 +44,41 @@ func FirstOrder(g *dag.Graph, model failure.Model) (FirstOrderResult, error) {
 // FirstOrderWith is FirstOrder reusing a prepared evaluator, for callers
 // estimating the same graph under many failure rates.
 func FirstOrderWith(pe *dag.PathEvaluator, model failure.Model) FirstOrderResult {
+	res := FirstOrderResult{Contribution: make([]float64, pe.Graph().NumTasks())}
+	res.FailureFree, res.Estimate = firstOrder(pe, model, res.Contribution)
+	return res
+}
+
+// FirstOrderEstimate is FirstOrderWith(pe, model).Estimate, bit for bit,
+// without allocating: it reads the evaluator's heads and tails in place
+// and keeps no per-task contributions.
+func FirstOrderEstimate(pe *dag.PathEvaluator, model failure.Model) float64 {
+	_, est := firstOrder(pe, model, nil)
+	return est
+}
+
+// firstOrder returns d(G) and the First Order estimate, summing the
+// contributions in task order and storing them in contrib unless it is
+// nil.
+func firstOrder(pe *dag.PathEvaluator, model failure.Model, contrib []float64) (d, est float64) {
 	g := pe.Graph()
-	d := pe.Makespan()
-	heads := pe.Heads()
-	tails := pe.Tails()
-	n := g.NumTasks()
-	res := FirstOrderResult{
-		FailureFree:  d,
-		Contribution: make([]float64, n),
-	}
+	f := pe.Frozen()
+	d, heads, tails := pe.HeadsTailsTopo()
 	var sum float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < g.NumTasks(); i++ {
 		// d(G_i) − d(G) = max(0, head(i)+tail(i) − d).
-		delta := heads[i] + tails[i] - d
+		k := f.Pos(i)
+		delta := heads[k] + tails[k] - d
 		if delta < 0 {
 			delta = 0
 		}
 		c := g.Weight(i) * delta
-		res.Contribution[i] = c
+		if contrib != nil {
+			contrib[i] = c
+		}
 		sum += c
 	}
-	res.Estimate = d + model.Lambda*sum
-	return res
+	return d, d + model.Lambda*sum
 }
 
 // FirstOrderNaive evaluates the same approximation by recomputing d(G_i)

@@ -220,3 +220,52 @@ func TestFirstOrderWithReuse(t *testing.T) {
 		t.Fatalf("estimate not linear in λ: %v %v", r1.Estimate, r3.Estimate)
 	}
 }
+
+// Property: FirstOrderEstimate is bit-identical to FirstOrderWith's
+// estimate and to the task-order sum over the allocating Heads/Tails
+// copies, on generator and Erdős–Rényi DAGs (whose topological order is
+// not the task order), and allocates nothing.
+func TestFirstOrderEstimateBitIdentical(t *testing.T) {
+	check := func(g *dag.Graph, m failure.Model) bool {
+		pe, err := dag.NewPathEvaluator(g)
+		if err != nil {
+			return false
+		}
+		heads, tails := pe.Heads(), pe.Tails()
+		d := pe.Makespan()
+		var sum float64
+		for i := 0; i < g.NumTasks(); i++ {
+			sum += g.Weight(i) * max(heads[i]+tails[i]-d, 0)
+		}
+		got := FirstOrderEstimate(pe, m)
+		return got == d+m.Lambda*sum && got == FirstOrderWith(pe, m).Estimate
+	}
+	f := func(seed int64, lambda uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := dag.ErdosRenyiDAG(dag.RandomConfig{Tasks: 60, EdgeProb: 0.08}, rng)
+		if err != nil {
+			return false
+		}
+		return check(g, failure.Model{Lambda: float64(lambda) / 1e4})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fact := range linalg.All() {
+		g, err := linalg.Generate(fact, 7, linalg.KernelTimes{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := failure.FromPfail(1e-3, g.MeanWeight())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(g, m) {
+			t.Fatalf("%s: FirstOrderEstimate differs", fact)
+		}
+		pe, _ := dag.NewPathEvaluator(g)
+		if n := testing.AllocsPerRun(10, func() { FirstOrderEstimate(pe, m) }); n != 0 {
+			t.Fatalf("%s: %v allocations per call", fact, n)
+		}
+	}
+}

@@ -101,6 +101,18 @@ func (pe *PathEvaluator) Tails() []float64 {
 	return pe.f.Scatter(make([]float64, pe.f.n), pe.tail)
 }
 
+// HeadsTailsTopo returns d(G) and every task's head and tail under the
+// graph's weights, in topological order: position k holds task
+// Frozen().TaskID(k), and task i sits at Frozen().Pos(i). The slices are
+// the evaluator's scratch, valid until its next call; Heads and Tails
+// are the allocating, task-indexed copies.
+func (pe *PathEvaluator) HeadsTailsTopo() (d float64, heads, tails []float64) {
+	d = pe.Makespan()
+	pe.f.Gather(pe.wTopo, pe.f.g.weights)
+	pe.f.TailsTopo(pe.wTopo, pe.tail)
+	return d, pe.comp, pe.tail
+}
+
 // pathEps returns the tolerance used when matching completion times along
 // a critical path: float64 longest-path sums accumulate rounding, so exact
 // equality would sporadically miss the true predecessor.

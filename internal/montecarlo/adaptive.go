@@ -13,9 +13,10 @@ import (
 
 // Snapshot is the resumable state of an adaptive run: the number of whole
 // chunks folded so far, their merged Welford accumulator, and their merged
-// quantile sketch. Because the engine folds chunks strictly in index order
-// and chunk RNG streams depend only on (Seed, chunk), a snapshot at k
-// chunks is exactly the intermediate state of ANY longer run with the same
+// quantile sketch — or, for a stratified run, the merged accumulators of
+// its conditional draws and no sketch. Because the engine folds chunks
+// strictly in index order and what a chunk draws depends only on Seed
+// and the chunk index, a snapshot at k chunks is exactly the intermediate state of ANY longer run with the same
 // seed — extending it from chunk k is bit-identical to a cold run of the
 // larger chunk count (see adaptive_test.go). That is what lets the
 // makespand registry tighten a stored estimate without re-running the
@@ -29,16 +30,17 @@ type Snapshot struct {
 	seed   uint64
 	mode   Mode
 	chunks int64
-	acc    Welford
-	sketch *QuantileSketch
+	acc    Welford         // trial makespans; a stratified run's R = M − d0 − C
+	y      Welford         // a stratified run's M − d0 (unused otherwise)
+	sketch *QuantileSketch // nil for a stratified run
 }
 
 // Chunks returns the number of whole trial chunks folded into the snapshot.
 func (s *Snapshot) Chunks() int64 { return s.chunks }
 
-// Trials returns the number of trials folded into the snapshot
+// Trials returns the number of nominal trials folded into the snapshot
 // (Chunks · ChunkTrials; adaptive runs are always chunk-aligned).
-func (s *Snapshot) Trials() int { return int(s.acc.N()) }
+func (s *Snapshot) Trials() int { return int(s.chunks) * chunkSize }
 
 // Seed returns the RNG seed the snapshot's chunks were drawn with.
 func (s *Snapshot) Seed() uint64 { return s.seed }
@@ -47,13 +49,19 @@ func (s *Snapshot) Seed() uint64 { return s.seed }
 func (s *Snapshot) Mode() Mode { return s.mode }
 
 // Sketch returns an independent copy of the snapshot's merged quantile
-// sketch, safe to query and mutate without affecting the snapshot.
-func (s *Snapshot) Sketch() *QuantileSketch { return s.sketch.Clone() }
+// sketch, safe to query and mutate without affecting the snapshot; nil
+// for a stratified run's snapshot, which keeps none (Config.Sketch).
+func (s *Snapshot) Sketch() *QuantileSketch {
+	if s.sketch == nil {
+		return nil
+	}
+	return s.sketch.Clone()
+}
 
 // Clone returns an independent deep copy of the snapshot.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
-	c.sketch = s.sketch.Clone()
+	c.sketch = s.Sketch()
 	return &c
 }
 
@@ -62,12 +70,16 @@ func (s *Snapshot) Clone() *Snapshot {
 // its owner and accounted there). Registry entries use it for artifact
 // accounting.
 func (s *Snapshot) SizeBytes() int64 {
+	if s.sketch == nil {
+		return 192
+	}
 	return int64(len(s.sketch.cells))*8 + 192
 }
 
 // checkSnapshot verifies that snap was produced by an estimator sharing
-// this estimator's compiled snapshot, seed and mode — the conditions under
-// which extending it reproduces a cold run bit-identically.
+// this estimator's compiled snapshot, seed, mode and stream (stratified
+// or plain) — the conditions under which extending it reproduces a cold
+// run bit-identically.
 func (e *Estimator) checkSnapshot(snap *Snapshot) error {
 	if snap.frozen != e.frozen {
 		return fmt.Errorf("montecarlo: snapshot from a different compiled graph")
@@ -77,6 +89,9 @@ func (e *Estimator) checkSnapshot(snap *Snapshot) error {
 	}
 	if snap.mode != e.cfg.Mode {
 		return fmt.Errorf("montecarlo: snapshot mode %v does not match config mode %v", snap.mode, e.cfg.Mode)
+	}
+	if (snap.sketch == nil) != e.stratified() {
+		return fmt.Errorf("montecarlo: snapshot stream (stratified %v) does not match the config's", snap.sketch == nil)
 	}
 	return nil
 }
@@ -96,8 +111,12 @@ func (e *Estimator) snapshotCI(s *Snapshot) (ci float64, ok bool) {
 		}
 		return (hi - lo) / 2, true
 	}
+	se := s.acc.StdErr()
+	if s.sketch == nil {
+		se = e.stratResult(s.acc, s.y, s.Trials()).StdErr
+	}
 	z := normalQuantile(0.5 + e.cfg.Confidence/2)
-	return z * s.acc.StdErr(), true
+	return z * se, true
 }
 
 // converged reports whether the snapshot satisfies the estimator's
@@ -132,6 +151,9 @@ func (e *Estimator) SnapshotResult(snap *Snapshot) (Result, error) {
 
 func (e *Estimator) adaptiveResult(s *Snapshot) Result {
 	res := resultFrom(s.acc)
+	if s.sketch == nil {
+		res = e.stratResult(s.acc, s.y, s.Trials())
+	}
 	if ci, ok := e.snapshotCI(s); ok {
 		res.AchievedCI = ci
 		res.Converged = ci <= e.cfg.Tolerance
@@ -143,15 +165,24 @@ func (e *Estimator) adaptiveResult(s *Snapshot) Result {
 // it and folded by the reducer in chunk-index order.
 type chunkStat struct {
 	c      int64
-	acc    Welford
+	acc, y Welford // as in Snapshot
 	sketch *QuantileSketch
 }
 
-// chunkStat runs whole chunk c and summarizes it.
+// chunkStat runs whole chunk c and summarizes it: its trials, or under
+// the stratified estimator the conditional draws it stands for.
 func (wk *mcWorker) chunkStat(c int64) chunkStat {
-	wk.runChunk(newChunkRNG(wk.e.cfg.Seed, c), int(c)*chunkSize, int(c+1)*chunkSize)
-	st := chunkStat{c: c, sketch: NewQuantileSketch(DefaultSketchCells)}
-	for _, x := range wk.res {
+	e := wk.e
+	st := chunkStat{c: c}
+	if e.stratified() {
+		a, b := e.strat.draws(int(c)*chunkSize), e.strat.draws(int(c+1)*chunkSize)
+		wk.runDraws(a, b)
+		wk.foldDraws(&st.acc, &st.y, 0, b-a)
+		return st
+	}
+	wk.runChunk(newChunkRNG(e.cfg.Seed, c), int(c)*chunkSize, int(c+1)*chunkSize)
+	st.sketch = NewQuantileSketch(DefaultSketchCells)
+	for _, x := range wk.res[:chunkSize] {
 		st.acc.Add(x)
 		st.sketch.Add(x)
 	}
@@ -215,7 +246,9 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 			frozen: e.frozen,
 			seed:   e.cfg.Seed,
 			mode:   e.cfg.Mode,
-			sketch: NewQuantileSketch(DefaultSketchCells),
+		}
+		if !e.stratified() {
+			cur.sketch = NewQuantileSketch(DefaultSketchCells)
 		}
 	}
 	stop := func() bool {
@@ -231,7 +264,10 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 	// fold merges the next in-order chunk and reports whether to stop.
 	fold := func(st chunkStat) bool {
 		cur.acc.Merge(st.acc)
-		cur.sketch.Merge(st.sketch)
+		cur.y.Merge(st.y)
+		if cur.sketch != nil {
+			cur.sketch.Merge(st.sketch)
+		}
 		cur.chunks++
 		return cur.chunks >= maxChunks || stop()
 	}

@@ -95,8 +95,10 @@ func (wk *mcWorker) evalBlock(blk *laneBlock) {
 	}
 	nf := len(blk.pos)
 	if cap(bs.fLane) < nf {
-		bs.fLane = make([]int32, nf)
-		bs.fW = make([]float64, nf)
+		// Sized like the block's own buffers, so these grow only when
+		// they do.
+		bs.fLane = make([]int32, nf, cap(blk.pos))
+		bs.fW = make([]float64, nf, cap(blk.pos))
 	}
 	fLane := bs.fLane[:nf]
 	fW := bs.fW[:nf]
@@ -285,6 +287,10 @@ func u64view(x []float64) []uint64 {
 // set into the weight vector, run the scalar CSR kernel, restore.
 func (wk *mcWorker) evalScalar(nfail int) float64 {
 	e := wk.e
+	if wk.w == nil {
+		wk.w = append([]float64(nil), e.base...)
+		wk.comp = make([]float64, len(e.base))
+	}
 	for i := 0; i < nfail; i++ {
 		wk.w[wk.failPos[i]] = wk.failW[i]
 	}

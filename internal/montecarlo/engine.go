@@ -79,6 +79,20 @@ type Config struct {
 	// chunk-aligned. Only meaningful with Tolerance > 0; negative values
 	// are configuration errors.
 	MaxTrials int
+	// Sketch keeps the run on the plain trial stream with a quantile
+	// sketch: adaptive snapshots carry the merged sketch
+	// (Snapshot.Sketch), and Run answers what RunQuantiles does. Without
+	// it, an estimator that stratifies (see stratum.go) runs the
+	// stratified estimator, whose draws are not a sample of the makespan
+	// distribution. A nonzero TargetQuantile implies it.
+	Sketch bool
+}
+
+// Validate reports whether c is a valid run configuration: the checks
+// NewEstimator* and WithConfig make, without building anything.
+func (c Config) Validate() error {
+	_, err := normalizeConfig(c)
+	return err
 }
 
 // Adaptive reports whether the configuration selects sequential stopping.
@@ -134,7 +148,10 @@ type Result struct {
 // engine, resolved through bit-level threshold tables, see sampler.go),
 // then a lane-blocked structure-of-arrays evaluation of the deferred
 // multi-failure trials (see batch.go). Zero- and single-failure trials
-// never touch the graph.
+// never touch the graph. When P(K ≥ 2), the probability of two or more
+// extra executions, is small, runs without a quantile sketch do not
+// sample the K ≤ 1 trials at all: they take them exactly and sample only
+// the multi-failure stratum (see stratum.go).
 // An Estimator is a snapshot: weights and failure probabilities are
 // captured at construction, and both samplers run on the snapshot.
 // Mutating the graph afterwards makes Run/RunSamples fail with
@@ -157,6 +174,7 @@ type Estimator struct {
 	exitW uint64
 
 	tables *samplerTables // bit-threshold tables of the fast sampler (may be nil)
+	strat  *stratum       // the stratified estimator's exact part and tables (may be nil)
 	sinks  []int32        // positions with no successors, for the lane kernel
 
 	// Test toggles forcing the reference paths; results must be identical
@@ -266,6 +284,7 @@ func newEstimatorRates(g *dag.Graph, frozen *dag.Frozen, rates []float64, cfg Co
 		}
 	}
 	e.buildTables(false)
+	e.buildStratum()
 	return e, nil
 }
 
@@ -337,14 +356,16 @@ func normalizeConfig(cfg Config) (Config, error) {
 
 // mcWorker is the per-goroutine trial state: scratch buffers sized once so
 // the per-chunk loops never allocate (the SoA batch scratch is added
-// lazily on the first multi-failure block).
+// lazily on the first multi-failure block, the scalar kernel's on its
+// first trial).
 type mcWorker struct {
 	e       *Estimator
-	w       []float64 // topo weights, == base between trials
+	w       []float64 // scalar kernel topo weights, == base between trials
 	comp    []float64 // scalar kernel scratch
 	failPos []int32   // positions failed this trial
 	failW   []float64 // their inflated weights
 	res     []float64 // per-chunk results, chunk-relative trial order
+	cv      []float64 // stratum draws' control variates, beside res
 	blk     laneBlock // deferred multi-failure trials
 	bs      *batchScratch
 }
@@ -353,13 +374,12 @@ func (e *Estimator) newWorker() *mcWorker {
 	n := e.frozen.NumTasks()
 	wk := &mcWorker{
 		e:       e,
-		w:       make([]float64, n),
-		comp:    make([]float64, n),
 		failPos: make([]int32, n),
 		failW:   make([]float64, n),
 		res:     make([]float64, chunkSize),
+		// Room for four failures a lane before the block buffers grow.
+		blk: laneBlock{pos: make([]int32, 0, 4*evalLanes), w: make([]float64, 0, 4*evalLanes)},
 	}
-	copy(wk.w, e.base)
 	return wk
 }
 
@@ -436,19 +456,29 @@ func (e *Estimator) numChunks() int {
 // trials [t0, t0+len(xs)) in trial order. xs is the worker's scratch and
 // is only valid during the call. observe must be safe for concurrent
 // calls with distinct chunks; chunk indices are in [0, numChunks()).
-//
-// Cancellation is checked at chunk boundaries — the natural
-// prefix-deterministic stopping points. A cancelled run returns
-// ctx.Err() and the caller must discard whatever observe accumulated:
-// runChunks never produces a partial Result. The checks cost nothing on
-// the hot path: ctx.Done() is captured once and is nil for
-// context.Background(), and the faultinject gate is one atomic load.
 func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t0 int, xs []float64)) error {
 	trials := e.cfg.Trials
-	nChunks := int64(e.numChunks())
+	return e.forEach(ctx, int64(e.numChunks()), func(wk *mcWorker, c int64) {
+		t0 := int(c) * chunkSize
+		t1 := min(t0+chunkSize, trials)
+		wk.runChunk(newChunkRNG(e.cfg.Seed, c), t0, t1)
+		observe(c, t0, wk.res[:t1-t0])
+	})
+}
+
+// forEach runs work(wk, i) for every i in [0, n) across cfg.Workers
+// goroutines, each with its own worker scratch wk.
+//
+// Cancellation is checked before every work item — chunk boundaries,
+// the natural prefix-deterministic stopping points. A cancelled run
+// returns ctx.Err() and the caller must discard whatever work
+// accumulated: forEach never produces a partial Result. The checks cost
+// nothing on the hot path: ctx.Done() is captured once and is nil for
+// context.Background(), and the faultinject gate is one atomic load.
+func (e *Estimator) forEach(ctx context.Context, n int64, work func(wk *mcWorker, i int64)) error {
 	workers := e.cfg.Workers
-	if int64(workers) > nChunks {
-		workers = int(nChunks)
+	if int64(workers) > n {
+		workers = int(n)
 	}
 	done := ctx.Done()
 	var next atomic.Int64
@@ -470,8 +500,8 @@ func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t0 int,
 			defer wg.Done()
 			wk := e.newWorker()
 			for {
-				c := next.Add(1) - 1
-				if c >= nChunks {
+				i := next.Add(1) - 1
+				if i >= n {
 					return
 				}
 				if done != nil || faultinject.Enabled() {
@@ -483,13 +513,7 @@ func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t0 int,
 						return
 					}
 				}
-				t0 := int(c) * chunkSize
-				t1 := t0 + chunkSize
-				if t1 > trials {
-					t1 = trials
-				}
-				wk.runChunk(newChunkRNG(e.cfg.Seed, c), t0, t1)
-				observe(c, t0, wk.res[:t1-t0])
+				work(wk, i)
 			}
 		}()
 	}
@@ -531,7 +555,9 @@ func (e *Estimator) fresh() error {
 }
 
 // Run executes the configured trials and returns the estimate. The
-// result depends only on (Seed, Trials, Mode), not on Workers. With
+// result depends only on (Seed, Trials, Mode, Sketch), not on Workers.
+// Trials is the nominal budget: a stratified run makes about
+// Trials·P(K ≥ 2) conditional draws and reports Trials. With
 // Tolerance > 0 the run is adaptive: chunks run until the target CI is
 // within tolerance (or MaxTrials is hit) and Result reports the trials
 // actually spent — still worker-count invariant, because the
@@ -553,14 +579,17 @@ func (e *Estimator) RunContext(ctx context.Context) (Result, error) {
 		res, _, err := e.ResumeAdaptiveContext(ctx, nil, nil)
 		return res, err
 	}
+	if e.stratified() {
+		return e.runStratified(ctx)
+	}
 	return e.runReduce(ctx, nil)
 }
 
 // runReduce runs all chunks, reduces the per-chunk accumulators in chunk
 // order (the step that makes the Result worker-count invariant), and
 // optionally hands every chunk's trials to sink (same contract as
-// runChunks' observe). Shared by Run and RunSamples so their Results
-// cannot diverge.
+// runChunks' observe). Shared by the plain stream's Run and RunSamples
+// so their Results cannot diverge.
 func (e *Estimator) runReduce(ctx context.Context, sink func(t0 int, xs []float64)) (Result, error) {
 	accs := make([]Welford, e.numChunks())
 	err := e.runChunks(ctx, func(c int64, t0 int, xs []float64) {

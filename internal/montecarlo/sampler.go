@@ -32,12 +32,16 @@ func b2i(b bool) int {
 // sampleRef draws one trial's failure set with the reference arithmetic,
 // filling wk.failPos/wk.failW and returning the failure count. This is the
 // original fused-sampler loop verbatim.
-func (wk *mcWorker) sampleRef(rng *splitMix64) int {
+func (wk *mcWorker) sampleRef(rng *splitMix64) int { return wk.sampleRefFrom(rng, 0, 0) }
+
+// sampleRefFrom is sampleRef over positions [k0, n) only, appending to the
+// nfail failures already recorded (the stratum sampler's unconditional
+// tail, see stratum.go).
+func (wk *mcWorker) sampleRefFrom(rng *splitMix64, k0, nfail int) int {
 	e := wk.e
 	n := len(e.base)
 	single := e.cfg.Mode == SingleRetry
-	nfail := 0
-	for k := 0; ; k++ {
+	for k := k0; ; k++ {
 		// Skip directly to the next candidate failure under the envelope:
 		// the gap is geometric with parameter pfMax.
 		g := math.Log(rng.unitOpen()) * e.invLnQ
@@ -74,7 +78,7 @@ func (wk *mcWorker) sampleRef(rng *splitMix64) int {
 // the branch that decides whether it is consumed. The stream position
 // advances by exactly the number of draws the reference sampler would
 // have consumed, so the draw order is untouched.
-func (wk *mcWorker) sampleFast(rng *splitMix64) int {
+func (wk *mcWorker) sampleFast(rng *splitMix64, k0, nfail int) int {
 	e := wk.e
 	tb := e.tables
 	n := len(e.base)
@@ -93,8 +97,7 @@ func (wk *mcWorker) sampleFast(rng *splitMix64) int {
 	// the mix64 latency.
 	s1 := rng.s + gamma // state of the pending gap draw
 	w := mix64(s1)>>11 + 1
-	nfail := 0
-	for k := 0; ; k++ {
+	for k := k0; ; k++ {
 		s2 := s1 + gamma
 		s3 := s2 + gamma
 		w2 := mix64(s2) >> 11
@@ -168,11 +171,15 @@ func (wk *mcWorker) sampleFast(rng *splitMix64) int {
 }
 
 // sample dispatches to the table-driven sampler when tables were built.
-func (wk *mcWorker) sample(rng *splitMix64) int {
+func (wk *mcWorker) sample(rng *splitMix64) int { return wk.sampleFrom(rng, 0, 0) }
+
+// sampleFrom is sample over positions [k0, n), appending to nfail
+// failures already recorded.
+func (wk *mcWorker) sampleFrom(rng *splitMix64, k0, nfail int) int {
 	if wk.e.tables != nil && !wk.e.refSampler {
-		return wk.sampleFast(rng)
+		return wk.sampleFast(rng, k0, nfail)
 	}
-	return wk.sampleRef(rng)
+	return wk.sampleRefFrom(rng, k0, nfail)
 }
 
 // samplerTables hold the bit-level threshold tables of the fast sampler.

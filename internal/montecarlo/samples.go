@@ -121,10 +121,11 @@ func (s *Samples) KolmogorovSmirnov(ref distribution.Discrete) float64 {
 	return worst
 }
 
-// RunSamples runs the estimator like Run but additionally returns every
-// sampled makespan. Memory is 8 bytes per trial. The sample vector is
-// written in trial order and is bit-identical for any worker count;
-// Result matches Run exactly.
+// RunSamples runs the estimator's plain trial stream and returns every
+// sampled makespan with the Result. Memory is 8 bytes per trial. The
+// sample vector is written in trial order and is bit-identical for any
+// worker count; Result matches Run exactly on the plain stream (with
+// Config.Sketch, or for an estimator that does not stratify).
 func (e *Estimator) RunSamples() (Result, *Samples, error) {
 	if err := e.fresh(); err != nil {
 		return Result{}, nil, err

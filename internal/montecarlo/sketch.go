@@ -407,9 +407,10 @@ func (s *QuantileSketch) CDF(x float64) float64 {
 	return float64(cum) / float64(s.n)
 }
 
-// RunQuantiles runs the estimator like Run but additionally returns a
-// quantile sketch of the makespan distribution built from per-chunk
-// sketches merged in chunk order — O(cells) memory per chunk instead of
+// RunQuantiles runs the estimator's plain trial stream, like Run with
+// Config.Sketch, and additionally returns a quantile sketch of the
+// makespan distribution built from per-chunk sketches merged in chunk
+// order — O(cells) memory per chunk instead of
 // RunSamples' 8 bytes per trial plus a full sort, with the same
 // worker-count independence: Result and sketch are identical for any
 // Workers.
@@ -425,9 +426,14 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 		return Result{}, nil, err
 	}
 	if e.cfg.Adaptive() {
-		// The adaptive runner always maintains the merged sketch (it may be
-		// the stopping statistic, and snapshots must be able to answer
+		// A plain-stream adaptive run maintains the merged sketch (it may
+		// be the stopping statistic, and snapshots must be able to answer
 		// later quantile queries), so this is just Run plus the sketch.
+		if !e.cfg.Sketch {
+			se := *e
+			se.cfg.Sketch = true
+			e = &se
+		}
 		res, snap, err := e.ResumeAdaptiveContext(ctx, nil, nil)
 		if err != nil {
 			return Result{}, nil, err

@@ -93,4 +93,4 @@ func (w *Welford) Max() float64 { return w.max }
 
 // CI95 returns the half-width of the 95% normal confidence interval of the
 // mean.
-func (w *Welford) CI95() float64 { return 1.959963984540054 * w.StdErr() }
+func (w *Welford) CI95() float64 { return z95 * w.StdErr() }

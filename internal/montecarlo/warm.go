@@ -4,13 +4,14 @@ import "fmt"
 
 // WithConfig returns an estimator that shares the receiver's compiled
 // snapshot — the frozen CSR form, per-task failure probabilities, single-
-// failure head/tail tables and the sampler's bit-level threshold tables —
+// failure head/tail tables, the sampler's bit-level threshold tables and
+// the stratified estimator's exact part —
 // under a different run configuration. Construction cost is O(1): none of
 // the shared state is rebuilt, which is what lets the makespand registry
 // answer a warm estimate request without paying freeze/table costs again.
 //
-// Trials, Seed, Workers and the adaptive knobs (Tolerance, TargetQuantile,
-// Confidence, MaxTrials) may change: Mode selects how the snapshot arrays
+// Trials, Seed, Workers, Sketch and the adaptive knobs (Tolerance,
+// TargetQuantile, Confidence, MaxTrials) may change: Mode selects how the snapshot arrays
 // are interpreted, so switching it requires a fresh estimator. The shared state is read-only during runs;
 // the receiver and every derived estimator may Run concurrently.
 func (e *Estimator) WithConfig(cfg Config) (*Estimator, error) {
@@ -34,6 +35,9 @@ func (e *Estimator) WithConfig(cfg Config) (*Estimator, error) {
 func (e *Estimator) SizeBytes() int64 {
 	s := int64(len(e.pfTopo)+len(e.invLnPf)+len(e.hpt)) * 8
 	s += int64(len(e.sinks)) * 4
+	if st := e.strat; st != nil {
+		s += int64(len(st.first)+len(st.logS))*8 + 64
+	}
 	if tb := e.tables; tb != nil {
 		s += int64(len(tb.gapBits)+len(tb.thinBits)+len(tb.attFirst)) * 8
 		s += int64(len(tb.attTrunc))

@@ -98,6 +98,20 @@ func (m *monteCarlo) validate(prefix string) error {
 	return nil
 }
 
+// checkEngine runs the Monte Carlo engine's own configuration check on
+// an enabled run, so that a bad trial count or adaptive knob is
+// rejected before any gated work, with the message the run itself would
+// fail with; prefix heads it as the run's errors are headed.
+func (m *monteCarlo) checkEngine(prefix string) error {
+	if !m.enabled() {
+		return nil
+	}
+	if err := m.config(0).Validate(); err != nil {
+		return fmt.Errorf("%s%w", prefix, err)
+	}
+	return nil
+}
+
 // Estimate is the estimate query: the paper's estimators (and the
 // extra baselines) on one graph, optionally bracketed by the analytic
 // bounds and referenced by Monte Carlo. An explicit Lambda wins over
@@ -139,15 +153,19 @@ func fillPFail(pfail *float64) {
 func (p *Estimate) Model(g *dag.Graph) (failure.Model, error) { return model(g, p.PFail, p.Lambda) }
 
 // Validate checks everything about p that needs no graph — methods
-// first, then quantiles and the Monte Carlo knobs — and keeps the parsed
-// method list for Run. Model checks the rest once the graph is known.
+// first, then quantiles and the Monte Carlo knobs, including the
+// engine's own configuration check — and keeps the parsed method list
+// for Run. Model checks the rest once the graph is known.
 func (p *Estimate) Validate() error {
 	var err error
 	if p.methods, err = experiments.ParseMethods(p.Methods); err != nil {
 		return err
 	}
 	mc := p.mc()
-	return mc.validate("monte carlo: ")
+	if err := mc.validate("monte carlo: "); err != nil {
+		return err
+	}
+	return mc.checkEngine("monte carlo: ")
 }
 
 // Schedule is the schedule query, the paper conclusion's
@@ -196,7 +214,12 @@ func (p *Schedule) Validate() error {
 		return err
 	}
 	mc := p.mc()
-	return mc.validate("")
+	if err := mc.validate(""); err != nil {
+		return err
+	}
+	// Every policy's run has the same configuration; Run would report
+	// it on the first.
+	return mc.checkEngine(string(p.policies[0]) + ": ")
 }
 
 // Sweep is the pfail sweep query (an extension experiment): one graph,

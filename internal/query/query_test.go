@@ -229,3 +229,26 @@ func TestRunWithoutValidate(t *testing.T) {
 		t.Fatal("sweep with a bad selector: no error")
 	}
 }
+
+// The engine's configuration checks run in Validate, with the messages
+// the run itself would fail with: a bad trial count or adaptive knob is
+// rejected before any bounds or analytic work.
+func TestValidateRunsEngineChecks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    interface{ Validate() error }
+		want string
+	}{
+		{"estimate negative trials", &Estimate{Methods: "all", Trials: -5}, "monte carlo: montecarlo: negative Trials -5"},
+		{"estimate negative tolerance", &Estimate{Tolerance: -1}, "monte carlo: montecarlo: bad Tolerance"},
+		{"estimate target quantile at 1", &Estimate{Tolerance: 0.1, TargetQuantile: 1}, "monte carlo: montecarlo: TargetQuantile 1 outside (0,1)"},
+		{"estimate trials and tolerance", &Estimate{Trials: 100, Tolerance: 0.1}, "monte carlo: montecarlo: Trials 100 and Tolerance 0.1 are mutually exclusive"},
+		{"schedule trials and tolerance", &Schedule{Procs: 2, Policies: "cp,fo", Trials: 100, Tolerance: 0.1}, "cp: montecarlo: Trials 100 and Tolerance 0.1 are mutually exclusive"},
+		{"schedule negative max trials", &Schedule{Procs: 2, Tolerance: 0.1, MaxTrials: -1}, "montecarlo: negative MaxTrials -1"},
+	} {
+		err := tc.p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}

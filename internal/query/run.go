@@ -37,12 +37,12 @@ type Kernel interface {
 }
 
 // FixedKey identifies a fixed-budget Monte Carlo run of one graph: its
-// trial stream, the trial count and whether it keeps a quantile sketch
-// (so a mean-only run never waits on a sketch it did not ask for).
+// trial stream, keyed like an adaptive run's snapshot — including
+// whether the run keeps a quantile sketch, so a mean-only run never
+// waits on a sketch it did not ask for — and the trial count.
 type FixedKey struct {
-	Stream artifact.SnapshotKey // the trial stream, keyed like an adaptive run's snapshot
+	Stream artifact.SnapshotKey // the trial stream
 	Trials int                  // the fixed budget
-	Sketch bool                 // the run also builds a quantile sketch
 }
 
 // Runner runs a query's heavy work. Acquire and Release bracket each
@@ -95,7 +95,7 @@ func (Direct) Release() {}
 
 // Fixed runs k.
 func (Direct) Fixed(ctx context.Context, _ Graph, key FixedKey, k Kernel) (montecarlo.Result, *montecarlo.QuantileSketch, error) {
-	return RunFixed(ctx, k, key.Sketch)
+	return RunFixed(ctx, k, key.Stream.Sketch)
 }
 
 // Adaptive runs k from scratch.
@@ -174,7 +174,7 @@ func (p *Estimate) Run(ctx context.Context, g Graph, model failure.Model, r Runn
 	if err != nil {
 		return est, fmt.Errorf("monte carlo: %w", err)
 	}
-	key := artifact.SnapshotKey{Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: mc.seed()}
+	key := artifact.SnapshotKey{Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: mc.seed(), Sketch: mc.sketch()}
 	if est.MonteCarlo, err = mc.run(ctx, g, r, key, k); err != nil {
 		return est, fmt.Errorf("monte carlo: %w", err)
 	}
@@ -213,7 +213,7 @@ func (p *Estimate) analytic(ctx context.Context, g Graph, model failure.Model, e
 		case experiments.MethodFirstOrder:
 			pe := ga.PathEvaluator()
 			t0 := time.Now()
-			v, dt = core.FirstOrderWith(pe, model).Estimate, time.Since(t0)
+			v, dt = core.FirstOrderEstimate(pe, model), time.Since(t0)
 			ga.PutPathEvaluator(pe)
 		default:
 			var err error
@@ -268,7 +268,7 @@ func (p *Schedule) Run(ctx context.Context, g Graph, model failure.Model, r Runn
 				return doc, fmt.Errorf("%s: %w", pol, err)
 			}
 			key := artifact.SnapshotKey{Sched: true, Policy: pol, Procs: procs,
-				Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: mc.seed()}
+				Lambda: model.Lambda, Mode: montecarlo.FullReexecution, Seed: mc.seed(), Sketch: mc.sketch()}
 			if entry.MonteCarlo, err = mc.run(ctx, g, r, key, k); err != nil {
 				return doc, fmt.Errorf("%s: %w", pol, err)
 			}
@@ -293,8 +293,13 @@ func (m *monteCarlo) config(workers int) montecarlo.Config {
 		TargetQuantile: m.TargetQuantile,
 		Confidence:     m.Confidence,
 		MaxTrials:      m.MaxTrials,
+		Sketch:         m.sketch(),
 	}
 }
+
+// sketch reports whether m's run keeps a quantile sketch, and so
+// samples the plain trial stream: it reports quantiles, or stops on one.
+func (m *monteCarlo) sketch() bool { return len(m.Quantiles) > 0 || m.TargetQuantile != 0 }
 
 // run is the one Monte Carlo dispatch: adaptive when a tolerance is
 // set, fixed (with a sketch when quantiles are asked for) otherwise,
@@ -312,7 +317,7 @@ func (m *monteCarlo) run(ctx context.Context, g Graph, r Runner, key artifact.Sn
 		}
 		return mc, nil
 	}
-	res, sketch, err := r.Fixed(ctx, g, FixedKey{Stream: key, Trials: m.Trials, Sketch: len(m.Quantiles) > 0}, k)
+	res, sketch, err := r.Fixed(ctx, g, FixedKey{Stream: key, Trials: m.Trials}, k)
 	if err != nil {
 		return nil, err
 	}

@@ -39,6 +39,9 @@ type Config struct {
 	// MaxTrials caps an adaptive run, rounded up to whole chunks
 	// (0 = montecarlo.DefaultTrials; adaptive mode only).
 	MaxTrials int
+	// Sketch keeps the run on the plain trial stream with a quantile
+	// sketch (montecarlo.Config.Sketch).
+	Sketch bool
 }
 
 // mcConfig translates the schedule-level config to the engine's (the two

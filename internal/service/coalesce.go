@@ -314,7 +314,7 @@ func (s *Server) coalesceFixed(ctx context.Context, e *Entry, key query.FixedKey
 			go func() {
 				f.err = s.heavy(fctx, func() error {
 					var err error
-					f.res, f.sk, err = query.RunFixed(fctx, kernel, key.Sketch)
+					f.res, f.sk, err = query.RunFixed(fctx, kernel, key.Stream.Sketch)
 					return err
 				})
 				e.mu.Lock()

@@ -467,3 +467,25 @@ func waitFor(t *testing.T, name string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// A body whose Monte Carlo knobs the engine rejects answers 400 before
+// the compute gate: with the gate held by someone else, a request that
+// reached Runner.Acquire would wait out its deadline instead.
+func TestBadMonteCarloKnobsRejectedBeforeGate(t *testing.T) {
+	s, ts := opsServer(t, Config{Workers: 1})
+	s.gate <- struct{}{}
+	defer func() { <-s.gate }()
+	for _, body := range []string{
+		`{"kind":"lu","k":4,"methods":"all","trials":-5,"timeout_ms":3000}`,
+		`{"kind":"lu","k":4,"methods":"all","tolerance":0.1,"target_quantile":1,"timeout_ms":3000}`,
+	} {
+		start := time.Now()
+		code, resp := post(t, ts, "/v1/estimate", body)
+		if code != http.StatusBadRequest || !strings.Contains(resp, "montecarlo:") {
+			t.Fatalf("%s: %d %s", body, code, resp)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s: answered after %v, behind the held gate", body, d)
+		}
+	}
+}

@@ -49,11 +49,10 @@ type Entry struct {
 	ga  *artifact.Graph
 
 	// Immutable after construction (views into the graph artifact).
-	ID        string
-	Canonical []byte // canonical dag JSON; its SHA-256 is the ID
-	G         *dag.Graph
-	Frozen    *dag.Frozen
-	D0        float64 // failure-free makespan d(G)
+	ID     string // content address (artifact.Graph.ID)
+	G      *dag.Graph
+	Frozen *dag.Frozen
+	D0     float64 // failure-free makespan d(G)
 
 	mu     sync.Mutex
 	meta   GraphMeta // guarded: upgradeable from "custom" to a generator label
@@ -183,16 +182,15 @@ func (r *Registry) AddContext(ctx context.Context, g *dag.Graph, meta GraphMeta)
 
 func newEntry(r *Registry, ga *artifact.Graph, meta GraphMeta) *Entry {
 	return &Entry{
-		reg:       r,
-		ga:        ga,
-		ID:        ga.ID,
-		Canonical: ga.Canonical,
-		G:         ga.G,
-		Frozen:    ga.Frozen,
-		D0:        ga.D0,
-		meta:      meta,
-		adapts:    make(map[artifact.SnapshotKey]*adaptiveSlot),
-		fixed:     make(map[query.FixedKey]*fixedFlight),
+		reg:    r,
+		ga:     ga,
+		ID:     ga.ID,
+		G:      ga.G,
+		Frozen: ga.Frozen,
+		D0:     ga.D0,
+		meta:   meta,
+		adapts: make(map[artifact.SnapshotKey]*adaptiveSlot),
+		fixed:  make(map[query.FixedKey]*fixedFlight),
 	}
 }
 

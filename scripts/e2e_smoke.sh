@@ -180,4 +180,12 @@ grep -Eq '^event=request method=GET route=/metrics status=200 bytes=[0-9]+ dur_m
 grep -Eq '^event=request method=POST route=/v1/estimate status=(400|404) bytes=[0-9]+ dur_ms=[0-9.]+ deadline_ms=0 outcome=error$' "$work/makespand.log"
 ! grep -q 'outcome=panic' "$work/makespand.log"
 
+echo "== E18 pfail 1e-4 estimate: parity, nonzero interval, mean >= failure-free"
+req18='{"kind":"lu","k":8,"pfail":0.0001,"methods":"First Order","trials":20000,"seed":7}'
+curl -fsS -X POST "$base/v1/estimate" -d "$req18" | normalize >"$work/svc_e18.json"
+"$bin/makespan" -kind lu -k 8 -pfail 0.0001 -methods "First Order" -trials 20000 -seed 7 \
+    -format json | normalize >"$work/cli_e18.json"
+diff -u "$work/cli_e18.json" "$work/svc_e18.json"
+jq -e '.monte_carlo.ci95 > 0 and .monte_carlo.mean >= .failure_free_makespan' "$work/svc_e18.json" >/dev/null
+
 echo "e2e smoke: all cases passed"

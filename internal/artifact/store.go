@@ -300,16 +300,6 @@ func (s *Store) GraphContext(ctx context.Context, g *dag.Graph) (*Graph, bool, e
 	return v.(*Graph), built, nil
 }
 
-// GraphByID returns the resident graph artifact for a content address,
-// touching it warm; ok is false when it was never built or was evicted.
-func (s *Store) GraphByID(id string) (*Graph, bool) {
-	v, ok := s.res.Lookup(graphKey(id))
-	if !ok {
-		return nil, false
-	}
-	return v.(*Graph), true
-}
-
 // Resident reports whether ga is still the store's entry for its key —
 // callers holding a Graph across evictions use it to decide between
 // warm resolution and an unaccounted cold build.

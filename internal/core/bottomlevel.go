@@ -15,28 +15,28 @@ import (
 //
 // Applying the paper's identity to the sub-DAG hanging below i: doubling a
 // downstream task j (reachable from i) turns tail(i) into
-// max(tail(i), lp(i→j) + tail(j) − a_j + a_j), hence
-//
-// so the analogue of the paper's d(G_j) identity is
+// max(tail(i), lp(i→j) + tail(j) − a_j + a_j), so the analogue of the
+// paper's d(G_j) identity is
 //
 //	E[tail(i)] ≈ tail(i) + λ Σ_{j ⪰ i} a_j·max(0, lp(i→j) + tail(j) − tail(i))
 //
-// where lp(i→j) is the longest i→j path (inclusive). Cost O(V(V+E)) time
-// and O(V²) memory via the all-pairs longest-path matrix.
+// where lp(i→j) is the longest i→j path (inclusive), read from one reused
+// longest-path row per task. Cost O(V(V+E)) time and O(V) memory.
 func ExpectedBottomLevels(g *dag.Graph, model failure.Model) ([]float64, error) {
 	f, err := dag.Freeze(g)
 	if err != nil {
 		return nil, err
 	}
 	pe := dag.NewPathEvaluatorFrozen(f)
-	apl := dag.NewAllPairsLongestFrozen(f)
 	tails := pe.Tails()
 	n := g.NumTasks()
 	out := make([]float64, n)
+	row := make([]float64, n)
 	for i := 0; i < n; i++ {
+		f.LongestFrom(f.Pos(i), row)
 		sum := 0.0
 		for j := 0; j < n; j++ {
-			lp := apl.Dist(i, j)
+			lp := row[f.Pos(j)]
 			if math.IsInf(lp, -1) {
 				continue
 			}
@@ -48,38 +48,6 @@ func ExpectedBottomLevels(g *dag.Graph, model failure.Model) ([]float64, error) 
 			}
 		}
 		out[i] = tails[i] + model.Lambda*sum
-	}
-	return out, nil
-}
-
-// ExpectedTopLevels is the mirror image: a first-order approximation of
-// the expected longest path ending at i (inclusive), the failure-aware
-// earliest completion time of i with unlimited processors.
-func ExpectedTopLevels(g *dag.Graph, model failure.Model) ([]float64, error) {
-	f, err := dag.Freeze(g)
-	if err != nil {
-		return nil, err
-	}
-	pe := dag.NewPathEvaluatorFrozen(f)
-	apl := dag.NewAllPairsLongestFrozen(f)
-	heads := pe.Heads()
-	n := g.NumTasks()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < n; j++ {
-			lp := apl.Dist(j, i)
-			if math.IsInf(lp, -1) {
-				continue
-			}
-			// Longest path ending at i through j is lp + head(j) − a_j;
-			// doubling a_j raises it by a_j.
-			delta := lp + heads[j] - heads[i]
-			if delta > 0 {
-				sum += g.Weight(j) * delta
-			}
-		}
-		out[i] = heads[i] + model.Lambda*sum
 	}
 	return out, nil
 }

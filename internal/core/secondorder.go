@@ -31,20 +31,21 @@ type SecondOrderResult struct {
 // with A = Σ a_i; the retained mass is 1 − O(λ³) (asserted in tests).
 // The corresponding makespans are d(G), d(G_i) (a_i doubled), d(G_i²)
 // (a_i tripled) and d(G_ij) (both doubled). Pairs are evaluated in O(1)
-// after an O(V(V+E)) all-pairs longest-path precomputation:
+// against one longest-path row per source task:
 //
 //	d(G_ij) = max(d, M_i+a_i, M_j+a_j, through(i,j)+a_i+a_j)
 //
-// where through(i,j) is the longest path containing both tasks.
-// Total cost O(V(V+E) + V²) time and O(V²) memory.
+// where through(i,j) is the longest path containing both tasks. Such a
+// path runs from the topologically earlier task to the later one, so each
+// unordered pair is visited once, from its earlier endpoint's row.
+// Total cost O(V(V+E) + V²) time and O(V) memory.
 func SecondOrder(g *dag.Graph, model failure.Model) (SecondOrderResult, error) {
-	// One frozen compilation shared by the evaluator and the all-pairs DP.
+	// One frozen compilation shared by the evaluator and the pair rows.
 	f, err := dag.Freeze(g)
 	if err != nil {
 		return SecondOrderResult{}, err
 	}
 	pe := dag.NewPathEvaluatorFrozen(f)
-	apl := dag.NewAllPairsLongestFrozen(f)
 	lam := model.Lambda
 	d := pe.Makespan()
 	heads := pe.Heads()
@@ -72,19 +73,25 @@ func SecondOrder(g *dag.Graph, model failure.Model) (SecondOrderResult, error) {
 		dGi2 := math.Max(d, heads[i]+tails[i]+a[i])
 		est += lam * lam * a[i] * a[i] * dGi2
 	}
-	// Unordered pairs i<j, each failing once.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dij := math.Max(dGi[i], dGi[j])
-			// A path through both exists only if one reaches the other.
-			if lp := apl.Dist(i, j); !math.IsInf(lp, -1) {
-				through := heads[i] + lp - a[i] - a[j] + tails[j]
-				dij = math.Max(dij, through+a[i]+a[j])
-			} else if lp := apl.Dist(j, i); !math.IsInf(lp, -1) {
-				through := heads[j] + lp - a[j] - a[i] + tails[i]
-				dij = math.Max(dij, through+a[i]+a[j])
+	// Unordered pairs, each failing once, from the earlier topo position
+	// u to the later one v, so every per-task vector switches to topo
+	// order. On graphs built in topo order this is the task-ID i<j order.
+	_, heads, tails = pe.HeadsTailsTopo()
+	a = f.WeightsTopo()
+	for k := range dGi {
+		dGi[k] = math.Max(d, heads[k]+tails[k])
+	}
+	row := make([]float64, n)
+	for u := 0; u < n; u++ {
+		f.LongestFrom(u, row)
+		for v := u + 1; v < n; v++ {
+			duv := math.Max(dGi[u], dGi[v])
+			// A path through both exists only if u reaches v.
+			if lp := row[v]; !math.IsInf(lp, -1) {
+				through := heads[u] + lp - a[u] - a[v] + tails[v]
+				duv = math.Max(duv, through+a[u]+a[v])
 			}
-			est += lam * lam * a[i] * a[j] * dij
+			est += lam * lam * a[u] * a[v] * duv
 		}
 	}
 	return SecondOrderResult{

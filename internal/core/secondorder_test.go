@@ -167,9 +167,8 @@ func TestExpectedBottomLevelsChain(t *testing.T) {
 }
 
 func TestExpectedLevelsMatchFirstOrderAtExtremes(t *testing.T) {
-	// For a single-source single-sink DAG, E[tail(source)] and
-	// E[head(sink)] both approximate the expected makespan, so they must
-	// equal the First Order whole-graph estimate.
+	// For a single-source DAG, E[tail(source)] approximates the expected
+	// makespan, so it must equal the First Order whole-graph estimate.
 	g := dag.Diamond(1, 5, 3, 2)
 	m := failure.Model{Lambda: 0.003}
 	fo, _ := FirstOrder(g, m)
@@ -177,15 +176,8 @@ func TestExpectedLevelsMatchFirstOrderAtExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	etl, err := ExpectedTopLevels(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !almostEq(ebl[0], fo.Estimate, 1e-12) {
 		t.Fatalf("E[tail(src)] = %v want %v", ebl[0], fo.Estimate)
-	}
-	if !almostEq(etl[3], fo.Estimate, 1e-12) {
-		t.Fatalf("E[head(snk)] = %v want %v", etl[3], fo.Estimate)
 	}
 }
 
@@ -229,9 +221,6 @@ func TestExpectedLevelsRejectCycle(t *testing.T) {
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, a)
 	if _, err := ExpectedBottomLevels(g, failure.Model{Lambda: 0.1}); err == nil {
-		t.Fatal("cycle accepted")
-	}
-	if _, err := ExpectedTopLevels(g, failure.Model{Lambda: 0.1}); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }

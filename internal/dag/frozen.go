@@ -221,6 +221,33 @@ func (f *Frozen) TailsTopo(w, tail []float64) {
 	}
 }
 
+// LongestFrom fills row[v] with the length of the longest path from
+// position k to position v, counting both endpoint weights, or -Inf when v
+// is unreachable from k (every v < k among them). row is indexed by topo
+// position and must have length NumTasks. One forward DP over the
+// positions after k: O(V+E), no allocation.
+func (f *Frozen) LongestFrom(k int, row []float64) {
+	if len(row) != f.n {
+		panic(fmt.Sprintf("dag: frozen kernel wants %d row entries, got %d", f.n, len(row)))
+	}
+	ninf := math.Inf(-1)
+	for v := range row {
+		row[v] = ninf
+	}
+	row[k] = f.wTopo[k]
+	for u := k; u < f.n; u++ {
+		lu := row[u]
+		if lu == ninf {
+			continue
+		}
+		for _, s := range f.SuccTopo(u) {
+			if c := lu + f.wTopo[s]; c > row[s] {
+				row[s] = c
+			}
+		}
+	}
+}
+
 // Makespan returns the failure-free makespan of the snapshot weights,
 // allocating transient scratch. For repeated evaluation use MakespanTopo
 // with reused buffers (or a PathEvaluator).

@@ -128,32 +128,19 @@ func TestFrozenNonIdentityOrder(t *testing.T) {
 	}
 }
 
-// AllPairsLongest permutes its matrix back to task-ID order on
-// non-identity graphs; Dist must agree with LongestPathBetween.
-func TestAllPairsLongestNonIdentityOrder(t *testing.T) {
-	g := Wavefront(5, 1.5)
-	s, _ := shuffledCopy(t, g, 19)
-	apl, err := NewAllPairsLongest(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.NumTasks()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			want, err := LongestPathBetween(s, u, v)
-			if err == ErrNoPath {
-				if d := apl.Dist(u, v); !math.IsInf(d, -1) {
-					t.Fatalf("Dist(%d,%d) = %v want -Inf", u, v, d)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := apl.Dist(u, v); got != want {
-				t.Fatalf("Dist(%d,%d) = %v want %v", u, v, got, want)
-			}
+// LongestFrom rows are indexed by topo position; on non-identity graphs
+// they must still agree with the task-ID longestPathBetween oracle.
+func TestLongestFromNonIdentityOrder(t *testing.T) {
+	for name, g := range testGraphs(t) {
+		s, _ := shuffledCopy(t, g, 19)
+		f, err := Freeze(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if f.identity {
+			t.Fatalf("%s: shuffled copy kept the identity order", name)
+		}
+		checkLongestFrom(t, s)
 	}
 }
 

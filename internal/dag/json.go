@@ -272,10 +272,11 @@ type Envelope struct {
 	// own Rest.
 	Rest []byte
 	// HasGraph reports that the graph member is present (null counts).
-	// Graph and GraphErr are what DecodeJSON returns on the value bytes
-	// of its last occurrence.
 	HasGraph bool
-	Graph    *Graph
+	// Graph is what DecodeJSON returns on the value bytes of the graph
+	// member's last occurrence.
+	Graph *Graph
+	// GraphErr is DecodeJSON's error on those same bytes.
 	GraphErr error
 }
 

@@ -1,7 +1,6 @@
 package dag
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -192,42 +191,4 @@ func Makespan(g *Graph) (float64, error) {
 		return 0, err
 	}
 	return pe.Makespan(), nil
-}
-
-// ErrNoPath is returned by LongestPathBetween when no path exists.
-var ErrNoPath = errors.New("dag: no path between the given tasks")
-
-// LongestPathBetween returns the length of the longest path from task u to
-// task v, counting both endpoint weights. It returns ErrNoPath if v is not
-// reachable from u. O(V+E).
-func LongestPathBetween(g *Graph, u, v int) (float64, error) {
-	if u < 0 || u >= g.NumTasks() || v < 0 || v >= g.NumTasks() {
-		return 0, ErrBadTask
-	}
-	f, err := Freeze(g)
-	if err != nil {
-		return 0, err
-	}
-	const unreach = math.MaxFloat64
-	n := f.NumTasks()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = -unreach
-	}
-	ku, kv := f.Pos(u), f.Pos(v)
-	dist[ku] = f.wTopo[ku]
-	for k := ku; k <= kv; k++ {
-		if dist[k] == -unreach {
-			continue
-		}
-		for _, s := range f.SuccTopo(k) {
-			if c := dist[k] + f.wTopo[s]; c > dist[s] {
-				dist[s] = c
-			}
-		}
-	}
-	if kv < ku || dist[kv] == -unreach {
-		return 0, ErrNoPath
-	}
-	return dist[kv], nil
 }

@@ -159,22 +159,58 @@ func TestCriticalPathIsAPath(t *testing.T) {
 	}
 }
 
+// errNoPath is returned by longestPathBetween when no path exists.
+var errNoPath = errors.New("dag: no path between the given tasks")
+
+// longestPathBetween returns the length of the longest path from task u to
+// task v, counting both endpoint weights, or errNoPath if v is not
+// reachable from u. It walks the Graph API in task-ID space, apart from
+// the Frozen kernel, and is the oracle for Frozen.LongestFrom.
+func longestPathBetween(g *Graph, u, v int) (float64, error) {
+	if u < 0 || u >= g.NumTasks() || v < 0 || v >= g.NumTasks() {
+		return 0, ErrBadTask
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return 0, err
+	}
+	dist := make([]float64, g.NumTasks())
+	for i := range dist {
+		dist[i] = math.Inf(-1)
+	}
+	dist[u] = g.Weight(u)
+	for _, x := range order {
+		if math.IsInf(dist[x], -1) {
+			continue
+		}
+		for _, s := range g.Succ(x) {
+			if c := dist[x] + g.Weight(s); c > dist[s] {
+				dist[s] = c
+			}
+		}
+	}
+	if math.IsInf(dist[v], -1) {
+		return 0, errNoPath
+	}
+	return dist[v], nil
+}
+
 func TestLongestPathBetween(t *testing.T) {
 	g := Diamond(1, 5, 3, 2)
-	got, err := LongestPathBetween(g, 0, 3)
+	got, err := longestPathBetween(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 8 {
 		t.Fatalf("longest 0->3 = %v want 8", got)
 	}
-	if _, err := LongestPathBetween(g, 1, 2); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("want ErrNoPath, got %v", err)
+	if _, err := longestPathBetween(g, 1, 2); !errors.Is(err, errNoPath) {
+		t.Fatalf("want errNoPath, got %v", err)
 	}
-	if _, err := LongestPathBetween(g, -1, 2); !errors.Is(err, ErrBadTask) {
+	if _, err := longestPathBetween(g, -1, 2); !errors.Is(err, ErrBadTask) {
 		t.Fatalf("want ErrBadTask, got %v", err)
 	}
-	if got, _ := LongestPathBetween(g, 1, 1); got != 5 {
+	if got, _ := longestPathBetween(g, 1, 1); got != 5 {
 		t.Fatalf("self longest = %v want 5", got)
 	}
 }

@@ -2,122 +2,6 @@ package dag
 
 import "math"
 
-// Reachability is a dense successor-reachability matrix: Reach(u, v)
-// reports whether v is reachable from u by a non-empty directed path or
-// u == v. Rows are bitsets, so memory is V²/8 bytes.
-type Reachability struct {
-	n    int
-	bits [][]uint64
-}
-
-// NewReachability computes the reachability closure of g in O(V·E/64).
-func NewReachability(g *Graph) (*Reachability, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumTasks()
-	words := (n + 63) / 64
-	bits := make([][]uint64, n)
-	backing := make([]uint64, n*words)
-	for i := range bits {
-		bits[i] = backing[i*words : (i+1)*words]
-	}
-	// Process in reverse topological order: reach(u) = {u} ∪ ⋃ reach(s).
-	for k := n - 1; k >= 0; k-- {
-		u := order[k]
-		row := bits[u]
-		row[u/64] |= 1 << (uint(u) % 64)
-		for _, s := range g.succ[u] {
-			srow := bits[s]
-			for w := range row {
-				row[w] |= srow[w]
-			}
-		}
-	}
-	return &Reachability{n: n, bits: bits}, nil
-}
-
-// Reach reports whether v is reachable from u (u == v counts as reachable).
-func (r *Reachability) Reach(u, v int) bool {
-	return r.bits[u][v/64]&(1<<(uint(v)%64)) != 0
-}
-
-// Comparable reports whether u and v lie on a common path (one reaches the
-// other). Tasks that are not comparable can never both lengthen the same
-// path, which the second-order approximation exploits.
-func (r *Reachability) Comparable(u, v int) bool {
-	return r.Reach(u, v) || r.Reach(v, u)
-}
-
-// AllPairsLongest holds, for every ordered pair (u,v), the length of the
-// longest u→v path counting both endpoint weights, or -Inf if v is not
-// reachable from u. Memory is 8·V² bytes (transiently 16·V² during
-// construction when the graph was not built in topological order);
-// intended for the graph sizes of the paper (≤ a few thousand tasks).
-// The DP runs in topological order so
-// it streams the frozen CSR adjacency; the matrix is then permuted back to
-// task-ID order once (a no-op for graphs built in topo order) so Dist stays
-// a direct index in the O(V²) consumer loops.
-type AllPairsLongest struct {
-	n    int
-	dist []float64 // row-major n×n, both axes task-ID order
-}
-
-// NewAllPairsLongest computes all-pairs longest paths in O(V·(V+E)).
-func NewAllPairsLongest(g *Graph) (*AllPairsLongest, error) {
-	f, err := Freeze(g)
-	if err != nil {
-		return nil, err
-	}
-	return NewAllPairsLongestFrozen(f), nil
-}
-
-// NewAllPairsLongestFrozen computes all-pairs longest paths on an existing
-// Frozen, sharing the compiled graph with other consumers.
-func NewAllPairsLongestFrozen(f *Frozen) *AllPairsLongest {
-	n := f.NumTasks()
-	apl := &AllPairsLongest{n: n, dist: make([]float64, n*n)}
-	ninf := math.Inf(-1)
-	for i := range apl.dist {
-		apl.dist[i] = ninf
-	}
-	// One forward DP per source position, visiting only later positions.
-	for ku := 0; ku < n; ku++ {
-		row := apl.dist[ku*n : (ku+1)*n]
-		row[ku] = f.wTopo[ku]
-		for k := ku; k < n; k++ {
-			if row[k] == ninf {
-				continue
-			}
-			for _, s := range f.SuccTopo(k) {
-				if c := row[k] + f.wTopo[s]; c > row[s] {
-					row[s] = c
-				}
-			}
-		}
-	}
-	if !f.identity {
-		// Permute both axes from topo positions back to task IDs.
-		byID := make([]float64, n*n)
-		for ku := 0; ku < n; ku++ {
-			row := apl.dist[ku*n : (ku+1)*n]
-			dst := byID[f.TaskID(ku)*n:]
-			for kv, d := range row {
-				dst[f.TaskID(kv)] = d
-			}
-		}
-		apl.dist = byID
-	}
-	return apl
-}
-
-// Dist returns the longest u→v path length (inclusive of both endpoints),
-// or -Inf when v is unreachable from u. Dist(u,u) is the weight of u.
-func (a *AllPairsLongest) Dist(u, v int) float64 {
-	return a.dist[u*a.n+v]
-}
-
 // CountPaths returns the number of distinct source-to-sink paths, saturating
 // at math.MaxFloat64. This is the quantity that makes exhaustive makespan
 // enumeration infeasible and motivates the paper's approximation.

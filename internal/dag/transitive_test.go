@@ -69,17 +69,17 @@ func TestQuickTransitiveReductionPreservesPaths(t *testing.T) {
 		if out.NumEdges() > g.NumEdges() {
 			return false
 		}
-		r1, err := NewReachability(g)
+		r1, err := newReachability(g)
 		if err != nil {
 			return false
 		}
-		r2, err := NewReachability(out)
+		r2, err := newReachability(out)
 		if err != nil {
 			return false
 		}
 		for u := 0; u < g.NumTasks(); u++ {
 			for v := 0; v < g.NumTasks(); v++ {
-				if r1.Reach(u, v) != r2.Reach(u, v) {
+				if r1.reach(u, v) != r2.reach(u, v) {
 					return false
 				}
 			}

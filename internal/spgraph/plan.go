@@ -125,11 +125,6 @@ func DodinPlan(g *dag.Graph, model failure.Model, maxAtoms int) (Result, DodinSt
 // they are topology-only and hold for every replay.
 func (p *Plan) Stats() DodinStats { return p.stats }
 
-// MaxAtoms returns the distribution support cap the plan was recorded
-// under (0 = unlimited). Replays inherit it; a cache keyed by atom cap
-// must not hand a plan to requests recorded under a different cap.
-func (p *Plan) MaxAtoms() int { return p.maxAtoms }
-
 // SizeBytes reports the approximate retained heap size of the recorded
 // schedule (initial-arc table, weight snapshot and op list), excluding
 // pooled replay scratch. Used by the makespand registry's byte budget.

@@ -619,19 +619,25 @@ func BenchmarkAdaptiveStopLU10(b *testing.B) {
 }
 
 // adaptiveBenchTolerances derives a (loose, tight) mean-CI tolerance pair
-// from a one-chunk probe: CI_n decays ~ CI_1/sqrt(n), so /8 and /9 land
-// near 64 and 81 chunks — a warm extension of ~17 chunks vs a cold 81.
+// from fixed probes of 64 and 81 chunks: the stopping rule meets each at
+// the first chunk count whose interval is that narrow, 64 and 81 — a
+// warm extension of ~17 chunks vs a cold 81. (The control-variate
+// interval does not decay as CI_1/√n over the first chunks, so a
+// one-chunk probe cannot place them.)
 func adaptiveBenchTolerances(b *testing.B, fixed *montecarlo.Estimator) (loose, tight float64) {
 	b.Helper()
-	probe, err := fixed.WithConfig(montecarlo.Config{Trials: montecarlo.ChunkTrials, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
+	ci := func(chunks int) float64 {
+		probe, err := fixed.WithConfig(montecarlo.Config{Trials: chunks * montecarlo.ChunkTrials, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := probe.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.CI95
 	}
-	res, err := probe.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.CI95 / 8, res.CI95 / 9
+	return ci(64), ci(81)
 }
 
 func BenchmarkAdaptiveColdRestartLU10(b *testing.B) {

@@ -175,15 +175,9 @@ func (r *Resolver) ResolveContext(ctx context.Context, req Request) (any, error)
 	return v, nil
 }
 
-// ResolveBuilt is Resolve plus a flag reporting whether this call ran
-// the build itself (false on cache hits and coalesced waits) — the
-// service's "created" field for graph submissions.
-func (r *Resolver) ResolveBuilt(req Request) (any, bool, error) {
-	return r.ResolveBuiltContext(context.Background(), req)
-}
-
-// ResolveBuiltContext is ResolveBuilt with ResolveContext's
-// cancellation semantics.
+// ResolveBuiltContext is ResolveContext plus a flag reporting whether
+// this call ran the build itself (false on cache hits and coalesced
+// waits) — the service's "created" field for graph submissions.
 func (r *Resolver) ResolveBuiltContext(ctx context.Context, req Request) (any, bool, error) {
 	e, built, err := r.resolve(ctx, req)
 	if err != nil {

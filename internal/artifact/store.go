@@ -158,9 +158,10 @@ type SnapshotKey struct {
 	Mode montecarlo.Mode
 	// Seed is the stream's RNG seed.
 	Seed uint64
-	// Sketch selects the plain trial stream with a quantile sketch
-	// (montecarlo.Config.Sketch) over the stratified one: the two
-	// streams' prefixes never stand in for each other.
+	// Sketch selects the stream that keeps a quantile sketch
+	// (montecarlo.Config.Sketch), which is always the plain trial
+	// stream: its snapshots carry the sketch, and the streams' prefixes
+	// never stand in for each other.
 	Sketch bool
 }
 

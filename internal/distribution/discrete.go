@@ -104,9 +104,6 @@ func (d Discrete) IsZero() bool { return len(d.values) == 0 }
 // Atom returns the i-th support point and its probability (ascending order).
 func (d Discrete) Atom(i int) (value, prob float64) { return d.values[i], d.probs[i] }
 
-// Support returns a copy of the support values in ascending order.
-func (d Discrete) Support() []float64 { return append([]float64(nil), d.values...) }
-
 // Mean returns the expectation.
 func (d Discrete) Mean() float64 {
 	var m float64

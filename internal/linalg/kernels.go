@@ -86,9 +86,6 @@ var efficiency = [numKernels]float64{
 	TSMQR: 0.70,
 }
 
-// Flops returns the kernel's flop count in units of b³.
-func (k Kernel) Flops() float64 { return flopsB3[k] }
-
 // KernelTimes maps each kernel to its execution time in seconds.
 type KernelTimes [numKernels]float64
 
@@ -98,7 +95,7 @@ type KernelTimes [numKernels]float64
 const timeScale = 0.084
 
 // DefaultKernelTimes returns the default per-kernel times (seconds):
-// time(k) = timeScale · Flops(k)/efficiency(k).
+// time(k) = timeScale · flops(k)/efficiency(k), flops in units of b³.
 func DefaultKernelTimes() KernelTimes {
 	var kt KernelTimes
 	for k := Kernel(0); k < numKernels; k++ {

@@ -11,16 +11,16 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Snapshot is the resumable state of an adaptive run: the number of whole
-// chunks folded so far, their merged Welford accumulator, and their merged
-// quantile sketch — or, for a stratified run, the merged accumulators of
-// its conditional draws and no sketch. Because the engine folds chunks
-// strictly in index order and what a chunk draws depends only on Seed
-// and the chunk index, a snapshot at k chunks is exactly the intermediate state of ANY longer run with the same
-// seed — extending it from chunk k is bit-identical to a cold run of the
-// larger chunk count (see adaptive_test.go). That is what lets the
-// makespand registry tighten a stored estimate without re-running the
-// trials it already paid for.
+// Snapshot is the resumable state of an adaptive run: the stream it
+// folds, the number of whole chunks folded so far, their merged
+// accumulators (see fold) and, when the run keeps one, their merged
+// quantile sketch. Because the engine folds chunks strictly in index
+// order and what a chunk draws depends only on Seed and the chunk
+// index, a snapshot at k chunks is exactly the intermediate state of ANY
+// longer run with the same seed and stream — extending it from chunk k
+// is bit-identical to a cold run of the larger chunk count (see
+// adaptive_test.go). That is what lets the makespand registry tighten a
+// stored estimate without re-running the trials it already paid for.
 //
 // Snapshots are immutable once returned: ResumeAdaptive deep-copies its
 // input and returns a fresh value, so a stored snapshot can be shared
@@ -29,10 +29,35 @@ type Snapshot struct {
 	frozen *dag.Frozen // identity of the compiled graph the chunks ran on
 	seed   uint64
 	mode   Mode
+	stream stream
 	chunks int64
-	acc    Welford         // trial makespans; a stratified run's R = M − d0 − C
-	y      Welford         // a stratified run's M − d0 (unused otherwise)
-	sketch *QuantileSketch // nil for a stratified run
+	acc    [3]Welford      // R and M − d0 of the draws, and M of every trial (see fold)
+	sketch *QuantileSketch // only on the sketchStream
+}
+
+// stream names the trial stream an adaptive run folds; a snapshot
+// extends only under an estimator on the same stream.
+type stream uint8
+
+const (
+	plainStream  stream = iota // every trial, no sketch
+	sketchStream               // every trial, with a quantile sketch
+	stratStream                // the stratified estimator's conditional draws
+)
+
+func (s stream) String() string {
+	return [...]string{"plain", "plain with sketch", "stratified"}[s]
+}
+
+// stream returns the stream e's runs fold.
+func (e *Estimator) stream() stream {
+	switch {
+	case e.stratified():
+		return stratStream
+	case e.sketch():
+		return sketchStream
+	}
+	return plainStream
 }
 
 // Chunks returns the number of whole trial chunks folded into the snapshot.
@@ -50,7 +75,7 @@ func (s *Snapshot) Mode() Mode { return s.mode }
 
 // Sketch returns an independent copy of the snapshot's merged quantile
 // sketch, safe to query and mutate without affecting the snapshot; nil
-// for a stratified run's snapshot, which keeps none (Config.Sketch).
+// for a run that keeps none (Config.Sketch).
 func (s *Snapshot) Sketch() *QuantileSketch {
 	if s.sketch == nil {
 		return nil
@@ -65,10 +90,10 @@ func (s *Snapshot) Clone() *Snapshot {
 	return &c
 }
 
-// SizeBytes reports the approximate retained heap size of the snapshot
-// (dominated by the sketch's cell array; the frozen graph is shared with
-// its owner and accounted there). Registry entries use it for artifact
-// accounting.
+// SizeBytes reports the approximate retained heap size of the snapshot:
+// its fixed part plus, when it keeps one, the sketch's cell array (the
+// frozen graph is shared with its owner and accounted there). Registry
+// entries use it for artifact accounting.
 func (s *Snapshot) SizeBytes() int64 {
 	if s.sketch == nil {
 		return 192
@@ -77,9 +102,9 @@ func (s *Snapshot) SizeBytes() int64 {
 }
 
 // checkSnapshot verifies that snap was produced by an estimator sharing
-// this estimator's compiled snapshot, seed, mode and stream (stratified
-// or plain) — the conditions under which extending it reproduces a cold
-// run bit-identically.
+// this estimator's compiled snapshot, seed, mode and stream — the
+// conditions under which extending it reproduces a cold run
+// bit-identically.
 func (e *Estimator) checkSnapshot(snap *Snapshot) error {
 	if snap.frozen != e.frozen {
 		return fmt.Errorf("montecarlo: snapshot from a different compiled graph")
@@ -90,8 +115,8 @@ func (e *Estimator) checkSnapshot(snap *Snapshot) error {
 	if snap.mode != e.cfg.Mode {
 		return fmt.Errorf("montecarlo: snapshot mode %v does not match config mode %v", snap.mode, e.cfg.Mode)
 	}
-	if (snap.sketch == nil) != e.stratified() {
-		return fmt.Errorf("montecarlo: snapshot stream (stratified %v) does not match the config's", snap.sketch == nil)
+	if s := e.stream(); snap.stream != s {
+		return fmt.Errorf("montecarlo: snapshot stream %v does not match the config's %v", snap.stream, s)
 	}
 	return nil
 }
@@ -111,12 +136,8 @@ func (e *Estimator) snapshotCI(s *Snapshot) (ci float64, ok bool) {
 		}
 		return (hi - lo) / 2, true
 	}
-	se := s.acc.StdErr()
-	if s.sketch == nil {
-		se = e.stratResult(s.acc, s.y, s.Trials()).StdErr
-	}
 	z := normalQuantile(0.5 + e.cfg.Confidence/2)
-	return z * se, true
+	return z * e.result(s.acc, s.Trials()).StdErr, true
 }
 
 // converged reports whether the snapshot satisfies the estimator's
@@ -150,10 +171,7 @@ func (e *Estimator) SnapshotResult(snap *Snapshot) (Result, error) {
 }
 
 func (e *Estimator) adaptiveResult(s *Snapshot) Result {
-	res := resultFrom(s.acc)
-	if s.sketch == nil {
-		res = e.stratResult(s.acc, s.y, s.Trials())
-	}
+	res := e.result(s.acc, s.Trials())
 	if ci, ok := e.snapshotCI(s); ok {
 		res.AchievedCI = ci
 		res.Converged = ci <= e.cfg.Tolerance
@@ -165,26 +183,22 @@ func (e *Estimator) adaptiveResult(s *Snapshot) Result {
 // it and folded by the reducer in chunk-index order.
 type chunkStat struct {
 	c      int64
-	acc, y Welford // as in Snapshot
-	sketch *QuantileSketch
+	acc    [3]Welford      // as in Snapshot
+	sketch *QuantileSketch // only when the run keeps one
 }
 
-// chunkStat runs whole chunk c and summarizes it: its trials, or under
-// the stratified estimator the conditional draws it stands for.
+// chunkStat runs whole chunk c of e's stream and summarizes it.
 func (wk *mcWorker) chunkStat(c int64) chunkStat {
 	e := wk.e
 	st := chunkStat{c: c}
-	if e.stratified() {
-		a, b := e.strat.draws(int(c)*chunkSize), e.strat.draws(int(c+1)*chunkSize)
-		wk.runDraws(a, b)
-		wk.foldDraws(&st.acc, &st.y, 0, b-a)
-		return st
-	}
-	wk.runChunk(newChunkRNG(e.cfg.Seed, c), int(c)*chunkSize, int(c+1)*chunkSize)
-	st.sketch = NewQuantileSketch(DefaultSketchCells)
-	for _, x := range wk.res[:chunkSize] {
-		st.acc.Add(x)
-		st.sketch.Add(x)
+	wk.run(int(c), int(c)+1)
+	k := e.span(int(c)+1) - e.span(int(c))
+	wk.fold(&st.acc, 0, k)
+	if e.sketch() {
+		st.sketch = NewQuantileSketch(DefaultSketchCells)
+		for _, x := range wk.res[:k] {
+			st.sketch.Add(x)
+		}
 	}
 	return st
 }
@@ -246,8 +260,9 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 			frozen: e.frozen,
 			seed:   e.cfg.Seed,
 			mode:   e.cfg.Mode,
+			stream: e.stream(),
 		}
-		if !e.stratified() {
+		if e.sketch() {
 			cur.sketch = NewQuantileSketch(DefaultSketchCells)
 		}
 	}
@@ -263,8 +278,7 @@ func (e *Estimator) ResumeAdaptiveContext(ctx context.Context, prev *Snapshot, p
 	}
 	// fold merges the next in-order chunk and reports whether to stop.
 	fold := func(st chunkStat) bool {
-		cur.acc.Merge(st.acc)
-		cur.y.Merge(st.y)
+		merge(&cur.acc, st.acc)
 		if cur.sketch != nil {
 			cur.sketch.Merge(st.sketch)
 		}

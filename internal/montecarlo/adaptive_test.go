@@ -95,69 +95,87 @@ func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 
 // The resumable-snapshot pin: extending a loose-tolerance snapshot to a
 // tighter tolerance must be bit-identical to a cold run at the tighter
-// tolerance — the warm path re-runs nothing and diverges nowhere.
+// tolerance — the warm path re-runs nothing and diverges nowhere — on
+// the plain stream with and without a sketch. Only the sketch stream's
+// snapshots carry a sketch.
 func TestWarmExtendMatchesCold(t *testing.T) {
 	e, tol := adaptiveFixture(t)
-	loose, err := e.WithConfig(Config{Seed: 42, Tolerance: 2 * tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, snap1, err := loose.ResumeAdaptive(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := e.WithConfig(Config{Seed: 42, Tolerance: tol / 2, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmRes, warmSnap, err := tight.ResumeAdaptive(snap1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRes, coldSnap, err := tight.ResumeAdaptive(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmSnap.Chunks() <= snap1.Chunks() {
-		t.Fatalf("tighter tolerance did not extend the snapshot (%d -> %d chunks)", snap1.Chunks(), warmSnap.Chunks())
-	}
-	if warmRes != coldRes {
-		t.Fatalf("warm extend != cold run:\n%+v\n%+v", warmRes, coldRes)
-	}
-	if warmSnap.Chunks() != coldSnap.Chunks() || warmSnap.Trials() != coldSnap.Trials() {
-		t.Fatalf("warm snapshot at %d chunks, cold at %d", warmSnap.Chunks(), coldSnap.Chunks())
-	}
-	ws, cs := warmSnap.Sketch(), coldSnap.Sketch()
-	if ws.N() != cs.N() || ws.CellWidth() != cs.CellWidth() {
-		t.Fatal("warm and cold sketches differ in shape")
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		if ws.Quantile(q) != cs.Quantile(q) {
-			t.Fatalf("q=%v: warm %v != cold %v", q, ws.Quantile(q), cs.Quantile(q))
+	for _, sketch := range []bool{false, true} {
+		loose, err := e.WithConfig(Config{Seed: 42, Tolerance: 2 * tol, Sketch: sketch})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A snapshot that already satisfies the tolerance is a pure cache hit:
-	// no new chunks, result identical to SnapshotResult.
-	hitRes, hitSnap, err := tight.ResumeAdaptive(warmSnap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hitSnap.Chunks() != warmSnap.Chunks() {
-		t.Fatalf("satisfied snapshot grew: %d -> %d chunks", warmSnap.Chunks(), hitSnap.Chunks())
-	}
-	want, err := tight.SnapshotResult(warmSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hitRes != want {
-		t.Fatalf("cache-hit result %+v != SnapshotResult %+v", hitRes, want)
-	}
-	if !tight.SnapshotConverged(warmSnap) {
-		t.Fatal("SnapshotConverged false for a snapshot the same config just produced")
-	}
-	// snap1 was never mutated by the extension runs.
-	if snap1.Chunks() >= warmSnap.Chunks() {
-		t.Fatal("input snapshot mutated by ResumeAdaptive")
+		_, snap1, err := loose.ResumeAdaptive(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight, err := e.WithConfig(Config{Seed: 42, Tolerance: tol / 2, Workers: 3, Sketch: sketch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmRes, warmSnap, err := tight.ResumeAdaptive(snap1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldRes, coldSnap, err := tight.ResumeAdaptive(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warmSnap.Chunks() <= snap1.Chunks() {
+			t.Fatalf("sketch %v: tighter tolerance did not extend the snapshot (%d -> %d chunks)", sketch, snap1.Chunks(), warmSnap.Chunks())
+		}
+		if warmRes != coldRes {
+			t.Fatalf("sketch %v: warm extend != cold run:\n%+v\n%+v", sketch, warmRes, coldRes)
+		}
+		if warmSnap.Chunks() != coldSnap.Chunks() || warmSnap.Trials() != coldSnap.Trials() {
+			t.Fatalf("sketch %v: warm snapshot at %d chunks, cold at %d", sketch, warmSnap.Chunks(), coldSnap.Chunks())
+		}
+		ws, cs := warmSnap.Sketch(), coldSnap.Sketch()
+		if !sketch {
+			if ws != nil || cs != nil || warmSnap.SizeBytes() >= 1024 {
+				t.Fatalf("a run without a sketch kept one (%d bytes)", warmSnap.SizeBytes())
+			}
+		} else {
+			if ws.N() != cs.N() || ws.CellWidth() != cs.CellWidth() {
+				t.Fatal("warm and cold sketches differ in shape")
+			}
+			for _, q := range []float64{0.05, 0.5, 0.95} {
+				if ws.Quantile(q) != cs.Quantile(q) {
+					t.Fatalf("q=%v: warm %v != cold %v", q, ws.Quantile(q), cs.Quantile(q))
+				}
+			}
+		}
+		// A snapshot that already satisfies the tolerance is a pure cache
+		// hit: no new chunks, result identical to SnapshotResult.
+		hitRes, hitSnap, err := tight.ResumeAdaptive(warmSnap, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hitSnap.Chunks() != warmSnap.Chunks() {
+			t.Fatalf("sketch %v: satisfied snapshot grew: %d -> %d chunks", sketch, warmSnap.Chunks(), hitSnap.Chunks())
+		}
+		want, err := tight.SnapshotResult(warmSnap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hitRes != want {
+			t.Fatalf("sketch %v: cache-hit result %+v != SnapshotResult %+v", sketch, hitRes, want)
+		}
+		if !tight.SnapshotConverged(warmSnap) {
+			t.Fatalf("sketch %v: SnapshotConverged false for a snapshot the same config just produced", sketch)
+		}
+		// snap1 was never mutated by the extension runs.
+		if snap1.Chunks() >= warmSnap.Chunks() {
+			t.Fatalf("sketch %v: input snapshot mutated by ResumeAdaptive", sketch)
+		}
+		// A snapshot of the other plain stream never stands in.
+		other, err := e.WithConfig(Config{Seed: 42, Tolerance: tol / 2, Sketch: !sketch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := other.ResumeAdaptive(snap1, nil); err == nil || !strings.Contains(err.Error(), "stream") {
+			t.Fatalf("sketch %v: the other plain stream extended the snapshot (%v)", sketch, err)
+		}
 	}
 }
 
@@ -370,7 +388,7 @@ func TestAdaptiveSingleWorkerRunsOnlyFoldedChunks(t *testing.T) {
 	e, tol := adaptiveFixture(t)
 	t.Cleanup(faultinject.Disarm)
 	var prev *Snapshot
-	for _, tolerance := range []float64{2 * tol, tol} {
+	for _, tolerance := range []float64{tol, tol / 2} {
 		we, err := e.WithConfig(Config{Seed: 42, Tolerance: tolerance, Workers: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -84,7 +84,8 @@ type Config struct {
 	// (Snapshot.Sketch), and Run answers what RunQuantiles does. Without
 	// it, an estimator that stratifies (see stratum.go) runs the
 	// stratified estimator, whose draws are not a sample of the makespan
-	// distribution. A nonzero TargetQuantile implies it.
+	// distribution, and an adaptive run on the plain stream keeps no
+	// sketch. A nonzero TargetQuantile implies it.
 	Sketch bool
 }
 
@@ -117,12 +118,15 @@ const ChunkTrials = chunkSize
 const chunkSize = 4096
 
 // Result summarizes a Monte Carlo estimate of the expected makespan.
+// Mean, StdErr, CI95 and AchievedCI belong to the control-variate
+// estimate of the mean (see stratum.go); on the plain stream StdDev,
+// Min and Max describe the sampled makespans themselves.
 type Result struct {
 	Mean     float64 // estimated expected makespan
-	StdDev   float64 // sample standard deviation of the makespan
+	StdDev   float64 // standard deviation of the makespan
 	StdErr   float64 // standard error of Mean
 	CI95     float64 // half-width of the 95% CI around Mean
-	Min, Max float64 // extreme sampled makespans
+	Min, Max float64 // extreme makespans
 	Trials   int     // trials folded into this result (== TrialsRun)
 
 	// TrialsRun is the number of trials actually executed. For
@@ -148,10 +152,11 @@ type Result struct {
 // engine, resolved through bit-level threshold tables, see sampler.go),
 // then a lane-blocked structure-of-arrays evaluation of the deferred
 // multi-failure trials (see batch.go). Zero- and single-failure trials
-// never touch the graph. When P(K ≥ 2), the probability of two or more
-// extra executions, is small, runs without a quantile sketch do not
-// sample the K ≤ 1 trials at all: they take them exactly and sample only
-// the multi-failure stratum (see stratum.go).
+// never touch the graph. Every run's mean is a control-variate estimate
+// around the First Order sum C (see stratum.go). When P(K ≥ 2), the
+// probability of two or more extra executions, is small, runs without a
+// quantile sketch do not sample the K ≤ 1 trials at all: they take them
+// exactly and sample only the multi-failure stratum.
 // An Estimator is a snapshot: weights and failure probabilities are
 // captured at construction, and both samplers run on the snapshot.
 // Mutating the graph afterwards makes Run/RunSamples fail with
@@ -165,7 +170,11 @@ type Estimator struct {
 	pfTopo  []float64 // first-attempt failure probability
 	invLnPf []float64 // 1/ln(pf) where pf > 0 (direct geometric inversion)
 	hpt     []float64 // head+tail−2a: longest path through k, minus its weight counted twice
+	delta   []float64 // Δ_k = d(G_k) − d0, the First Order identity (see stratum.go)
 	d0      float64   // failure-free makespan
+	eC      float64   // E[C], the control variate's exact mean (see stratum.go)
+	q       float64   // P(K ≥ 2), or 1 where it is not computed (see stratum.go)
+	aMax    float64   // the largest weight of a task that can fail
 	pfMax   float64   // max over tasks of pf, the thinning envelope
 	invLnQ  float64   // 1/ln(1−pfMax); 0 when pfMax == 0
 	// exitW is the largest first-draw payload (draw>>11)+1 whose envelope
@@ -284,6 +293,7 @@ func newEstimatorRates(g *dag.Graph, frozen *dag.Frozen, rates []float64, cfg Co
 		}
 	}
 	e.buildTables(false)
+	e.buildControl()
 	e.buildStratum()
 	return e, nil
 }
@@ -357,7 +367,7 @@ func normalizeConfig(cfg Config) (Config, error) {
 // mcWorker is the per-goroutine trial state: scratch buffers sized once so
 // the per-chunk loops never allocate (the SoA batch scratch is added
 // lazily on the first multi-failure block, the scalar kernel's on its
-// first trial).
+// first trial, cv and many on the first chunk or draws that use them).
 type mcWorker struct {
 	e       *Estimator
 	w       []float64 // scalar kernel topo weights, == base between trials
@@ -365,7 +375,8 @@ type mcWorker struct {
 	failPos []int32   // positions failed this trial
 	failW   []float64 // their inflated weights
 	res     []float64 // per-chunk results, chunk-relative trial order
-	cv      []float64 // stratum draws' control variates, beside res
+	cv      []float64 // their control variates C, beside res
+	many    []bool    // plain stream: whether the trial had K ≥ 2, beside res
 	blk     laneBlock // deferred multi-failure trials
 	bs      *batchScratch
 }
@@ -387,7 +398,8 @@ func (e *Estimator) newWorker() *mcWorker {
 // sequential sampling pass (exact per-trial draw order; zero- and
 // single-failure trials are resolved in O(1) on the spot) and a batched
 // evaluation of the deferred multi-failure trials. Results land in
-// wk.res[0:t1-t0] in trial order.
+// wk.res[0:t1-t0] in trial order, their control variates C in wk.cv
+// and whether they had K ≥ 2 extra executions in wk.many.
 //
 // Each trial's first draw is peeked before the sampler runs: a payload at
 // or below exitW is a gap past the last task, so the trial is failure-free
@@ -395,11 +407,17 @@ func (e *Estimator) newWorker() *mcWorker {
 // the stream untouched and the sampler redraws it.
 func (wk *mcWorker) runChunk(rng splitMix64, t0, t1 int) {
 	e := wk.e
-	res := wk.res[:t1-t0]
+	if len(wk.cv) < t1-t0 {
+		wk.cv = make([]float64, t1-t0)
+	}
+	if len(wk.many) < t1-t0 {
+		wk.many = make([]bool, t1-t0)
+	}
+	res, cv, many := wk.res[:t1-t0], wk.cv[:t1-t0], wk.many[:t1-t0]
 	if e.pfMax == 0 {
 		// Zero-pfail fast path: every task is deterministic, no draws.
 		for i := range res {
-			res[i] = e.d0
+			res[i], cv[i], many[i] = e.d0, 0, false
 		}
 		return
 	}
@@ -412,22 +430,30 @@ func (wk *mcWorker) runChunk(rng splitMix64, t0, t1 int) {
 	for t := range res {
 		if next := rng.s + gamma; mix64(next)>>11+1 <= exitW {
 			rng.s = next
-			res[t] = e.d0
+			res[t], cv[t], many[t] = e.d0, 0, false
 			continue
 		}
 		nfail := wk.sample(&rng)
 		switch nfail {
 		case 0:
-			res[t] = e.d0
+			res[t], cv[t], many[t] = e.d0, 0, false
 		case 1:
 			// Only one task changed: the new makespan is the longest path
 			// through it against the failure-free rest, exactly.
-			v := e.hpt[wk.failPos[0]] + wk.failW[0]
+			k := wk.failPos[0]
+			v := e.hpt[k] + wk.failW[0]
 			if v < e.d0 {
 				v = e.d0
 			}
 			res[t] = v
+			if wk.failW[0] == 2*e.base[k] {
+				// K = 1: C = Δ_k, which is v − d0 bit for bit.
+				cv[t], many[t] = v-e.d0, false
+			} else {
+				cv[t], many[t] = wk.control(1), true
+			}
 		default:
+			cv[t], many[t] = wk.control(nfail), true
 			if scalar {
 				res[t] = wk.evalScalar(nfail)
 				continue
@@ -449,21 +475,6 @@ func (wk *mcWorker) runChunk(rng splitMix64, t0, t1 int) {
 // chunk assignment and the reduction both derive from it.
 func (e *Estimator) numChunks() int {
 	return (e.cfg.Trials + chunkSize - 1) / chunkSize
-}
-
-// runChunks executes all trial chunks across cfg.Workers goroutines,
-// calling observe(chunk, t0, xs) once per chunk with the makespans of
-// trials [t0, t0+len(xs)) in trial order. xs is the worker's scratch and
-// is only valid during the call. observe must be safe for concurrent
-// calls with distinct chunks; chunk indices are in [0, numChunks()).
-func (e *Estimator) runChunks(ctx context.Context, observe func(c int64, t0 int, xs []float64)) error {
-	trials := e.cfg.Trials
-	return e.forEach(ctx, int64(e.numChunks()), func(wk *mcWorker, c int64) {
-		t0 := int(c) * chunkSize
-		t1 := min(t0+chunkSize, trials)
-		wk.runChunk(newChunkRNG(e.cfg.Seed, c), t0, t1)
-		observe(c, t0, wk.res[:t1-t0])
-	})
 }
 
 // forEach runs work(wk, i) for every i in [0, n) across cfg.Workers
@@ -579,49 +590,7 @@ func (e *Estimator) RunContext(ctx context.Context) (Result, error) {
 		res, _, err := e.ResumeAdaptiveContext(ctx, nil, nil)
 		return res, err
 	}
-	if e.stratified() {
-		return e.runStratified(ctx)
-	}
-	return e.runReduce(ctx, nil)
-}
-
-// runReduce runs all chunks, reduces the per-chunk accumulators in chunk
-// order (the step that makes the Result worker-count invariant), and
-// optionally hands every chunk's trials to sink (same contract as
-// runChunks' observe). Shared by the plain stream's Run and RunSamples
-// so their Results cannot diverge.
-func (e *Estimator) runReduce(ctx context.Context, sink func(t0 int, xs []float64)) (Result, error) {
-	accs := make([]Welford, e.numChunks())
-	err := e.runChunks(ctx, func(c int64, t0 int, xs []float64) {
-		acc := &accs[c]
-		for _, x := range xs {
-			acc.Add(x)
-		}
-		if sink != nil {
-			sink(t0, xs)
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	var total Welford
-	for i := range accs {
-		total.Merge(accs[i])
-	}
-	return resultFrom(total), nil
-}
-
-func resultFrom(w Welford) Result {
-	return Result{
-		Mean:      w.Mean(),
-		StdDev:    w.StdDev(),
-		StdErr:    w.StdErr(),
-		CI95:      w.CI95(),
-		Min:       w.Min(),
-		Max:       w.Max(),
-		Trials:    int(w.N()),
-		TrialsRun: int(w.N()),
-	}
+	return e.runFixed(ctx, nil)
 }
 
 // Estimate is a convenience wrapper building a transient Estimator.

@@ -125,7 +125,8 @@ func (s *Samples) KolmogorovSmirnov(ref distribution.Discrete) float64 {
 // sampled makespan with the Result. Memory is 8 bytes per trial. The
 // sample vector is written in trial order and is bit-identical for any
 // worker count; Result matches Run exactly on the plain stream (with
-// Config.Sketch, or for an estimator that does not stratify).
+// Config.Sketch, or for an estimator that does not stratify). Its Mean
+// is the control-variate estimate, not the samples' mean.
 func (e *Estimator) RunSamples() (Result, *Samples, error) {
 	if err := e.fresh(); err != nil {
 		return Result{}, nil, err
@@ -133,7 +134,7 @@ func (e *Estimator) RunSamples() (Result, *Samples, error) {
 	// cfg.Trials is normalized to >= 1 at construction, so the run always
 	// produces samples.
 	all := make([]float64, e.cfg.Trials)
-	res, err := e.runReduce(context.Background(), func(t0 int, xs []float64) { copy(all[t0:], xs) })
+	res, err := e.withSketch().runFixed(context.Background(), func(c int, xs []float64) { copy(all[c*chunkSize:], xs) })
 	if err != nil {
 		return Result{}, nil, err
 	}

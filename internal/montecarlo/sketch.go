@@ -425,28 +425,22 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 	if err := e.fresh(); err != nil {
 		return Result{}, nil, err
 	}
+	e = e.withSketch()
 	if e.cfg.Adaptive() {
-		// A plain-stream adaptive run maintains the merged sketch (it may
-		// be the stopping statistic, and snapshots must be able to answer
-		// later quantile queries), so this is just Run plus the sketch.
-		if !e.cfg.Sketch {
-			se := *e
-			se.cfg.Sketch = true
-			e = &se
-		}
+		// An adaptive run with a sketch maintains the merged sketch (it
+		// may be the stopping statistic, and snapshots must be able to
+		// answer later quantile queries), so this is just Run plus the
+		// sketch.
 		res, snap, err := e.ResumeAdaptiveContext(ctx, nil, nil)
 		if err != nil {
 			return Result{}, nil, err
 		}
 		return res, snap.Sketch(), nil
 	}
-	accs := make([]Welford, e.numChunks())
 	sketches := make([]*QuantileSketch, e.numChunks())
-	err := e.runChunks(ctx, func(c int64, _ int, xs []float64) {
-		acc := &accs[c]
+	res, err := e.runFixed(ctx, func(c int, xs []float64) {
 		sk := NewQuantileSketch(DefaultSketchCells)
 		for _, x := range xs {
-			acc.Add(x)
 			sk.Add(x)
 		}
 		sketches[c] = sk
@@ -455,10 +449,8 @@ func (e *Estimator) RunQuantilesContext(ctx context.Context) (Result, *QuantileS
 		return Result{}, nil, err
 	}
 	total := NewQuantileSketch(DefaultSketchCells)
-	var acc Welford
-	for i := range accs {
-		acc.Merge(accs[i])
-		total.Merge(sketches[i])
+	for _, sk := range sketches {
+		total.Merge(sk)
 	}
-	return resultFrom(acc), total, nil
+	return res, total, nil
 }

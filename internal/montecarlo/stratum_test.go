@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dag"
@@ -67,7 +68,7 @@ func TestStratumExactPartMatchesEnumeration(t *testing.T) {
 				if mask&(1<<k) != 0 {
 					p *= e.pfTopo[k]
 					w[k] *= 2
-					c += e.delta(k)
+					c += e.delta[k]
 					size++
 				} else {
 					p *= 1 - e.pfTopo[k]
@@ -83,10 +84,10 @@ func TestStratumExactPartMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !almostEq(st.q, q, 1e-12*q) || !almostEq(st.eC, eC, 1e-12) {
-			t.Fatalf("seed %d: q %v vs %v, E[C] %v vs %v", seed, st.q, q, st.eC, eC)
+		if !almostEq(e.q, q, 1e-12*q) || !almostEq(e.eC, eC, 1e-12) {
+			t.Fatalf("seed %d: q %v vs %v, E[C] %v vs %v", seed, e.q, q, e.eC, eC)
 		}
-		if got := e.d0 + st.eC + rest; !almostEq(got, exact, 1e-12) {
+		if got := e.d0 + e.eC + rest; !almostEq(got, exact, 1e-12) {
 			t.Fatalf("seed %d: decomposition %v vs exact %v", seed, got, exact)
 		}
 
@@ -102,8 +103,8 @@ func TestStratumExactPartMatchesEnumeration(t *testing.T) {
 		for _, p := range full.pfTopo {
 			want -= p0 / (1 - p) * p * (1 - p)
 		}
-		if !almostEq(full.strat.q, want, 1e-12) {
-			t.Fatalf("seed %d: full-reexecution q %v vs %v", seed, full.strat.q, want)
+		if !almostEq(full.q, want, 1e-12) {
+			t.Fatalf("seed %d: full-reexecution q %v vs %v", seed, full.q, want)
 		}
 	}
 }
@@ -137,7 +138,7 @@ func TestStratumConditionalLaw(t *testing.T) {
 			var wantC float64
 			for i, k := range wk.failPos[:nfail] {
 				attempts[k] = int(math.Round(wk.failW[i] / e.base[k]))
-				wantC += float64(attempts[k]-1) * e.delta(int(k))
+				wantC += float64(attempts[k]-1) * e.delta[k]
 			}
 			if !almostEq(c, wantC, 1e-12) {
 				t.Fatalf("%v: control variate %v, want %v", mode, c, wantC)
@@ -164,7 +165,7 @@ func TestStratumConditionalLaw(t *testing.T) {
 				}
 				// Counts are near Poisson: 5 SD, plus slack for patterns
 				// too rare to expect a single draw.
-				want := p / e.strat.q * draws
+				want := p / e.q * draws
 				got := counts[fmt.Sprint(attempts)]
 				seen += got
 				if math.Abs(float64(got)-want) > 5*math.Sqrt(want)+3 {
@@ -312,7 +313,7 @@ func TestStratumDeterministic(t *testing.T) {
 // Statistical equivalence: the stratified estimate agrees with the plain
 // stream (Sketch) within their joint standard error, in both modes, on
 // graphs whose P(K ≥ 2) spans two orders of magnitude; its interval is
-// the narrower one.
+// narrower than the plain stream's uncontrolled one, z·s_M/√N.
 func TestStratumMatchesPlainStream(t *testing.T) {
 	for _, c := range []struct {
 		f     linalg.Factorization
@@ -341,8 +342,8 @@ func TestStratumMatchesPlainStream(t *testing.T) {
 			if math.Abs(strat.Mean-plain.Mean) > 4*joint {
 				t.Errorf("%s k=%d pfail %g %v: stratified %v, plain %v (joint SE %v)", c.f, c.k, c.pfail, mode, strat.Mean, plain.Mean, joint)
 			}
-			if strat.CI95 >= plain.CI95 {
-				t.Errorf("%s k=%d pfail %g %v: stratified CI %v not below plain %v", c.f, c.k, c.pfail, mode, strat.CI95, plain.CI95)
+			if raw := z95 * plain.StdDev / math.Sqrt(60000); strat.CI95 >= raw {
+				t.Errorf("%s k=%d pfail %g %v: stratified CI %v not below the uncontrolled plain %v", c.f, c.k, c.pfail, mode, strat.CI95, raw)
 			}
 			if rel := math.Abs(strat.StdDev-plain.StdDev) / plain.StdDev; rel > 0.1 {
 				t.Errorf("%s k=%d pfail %g %v: StdDev %v vs plain %v", c.f, c.k, c.pfail, mode, strat.StdDev, plain.StdDev)
@@ -408,55 +409,93 @@ func TestStratumIntervalAndMeanInvariants(t *testing.T) {
 }
 
 // Calibration gate: the reported 95% interval covers the exact expected
-// makespan in at least 90% of 200 seeded runs, at pfail 1e-2, 1e-3 and
-// 1e-4, for fixed and adaptive runs, in both modes — against
-// ExactTwoState on the 20-task Cholesky k=4 (SingleRetry) and against
-// ExactGeometric on the 10-task Cholesky k=3 (full re-execution, four
-// attempts per task, a truncation below 1e-7 of the makespan).
+// makespan in at least 90% of 200 seeded runs, for fixed and adaptive
+// runs, in both modes:
+//   - the stratified stream at pfail 1e-2, 1e-3 and 1e-4, against
+//     ExactTwoState on the 20-task Cholesky k=4 (SingleRetry) and against
+//     ExactGeometric on the 10-task Cholesky k=3 (full re-execution, four
+//     attempts per task, a truncation below 1e-7 of the makespan);
+//   - the plain stream (Sketch) under full re-execution at pfail 0.05
+//     and 0.1, against ExactGeometric on the 5-task LU k=2 at 20
+//     attempts per task, and at pfail 1e-2 on Cholesky k=3. Cholesky
+//     k=3 cannot serve at the high rates: within the 4M-state cap it
+//     allows four attempts, whose truncation reaches 0.16 (pfail 0.05)
+//     and 1.7 (pfail 0.1) of the median half-width.
+//
+// Every ExactGeometric truncation bound — Σ_k a_k·pf_k^A/(1 − pf_k),
+// the expected work past A attempts, which bounds what lumping the
+// geometric tail into the A-th attempt takes off the mean — is checked
+// to stay below a tenth of the cell's median half-width.
 //
 // The band: with true coverage 0.95 the covered count is Binomial(200,
 // 0.95), mean 190 and SD 3.1, so fewer than 180 is a 3.2σ event — a
-// false-alarm probability of about 0.1% per cell and 1.5% over the
-// twelve cells. The plain stream's interval covered 0.855–0.925 at
-// pfail 1e-4 on the same graph (ROADMAP item 1), which this gate
-// rejects. The stratified interval is conservative (its
-// rare-interaction floor), so no upper band is imposed.
+// false-alarm probability of about 0.1% per cell and 2% over the
+// eighteen cells. The uncontrolled plain stream's interval covered
+// 0.855–0.925 at pfail 1e-4 on Cholesky k=3 (ROADMAP item 1), and the
+// plain stream's control-variate interval without post-stratification
+// (every trial a draw of R) covered 98/200 at pfail 1e-2 on the same
+// graph; this gate rejects both. The controlled interval is conservative
+// (its rare-interaction floor), so no upper band is imposed.
 func TestCalibrationCoverage(t *testing.T) {
 	const runs, minCovered = 200, 180
-	for _, mode := range []Mode{SingleRetry, FullReexecution} {
-		k := 4
-		if mode == FullReexecution {
-			k = 3
-		}
-		g, err := linalg.Cholesky(k, linalg.KernelTimes{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pfail := range []float64{1e-2, 1e-3, 1e-4} {
-			m, err := failure.FromPfail(pfail, g.MeanWeight())
+	lu2, err := linalg.LU(2, linalg.KernelTimes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch3, err := linalg.Cholesky(3, linalg.KernelTimes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch4, err := linalg.Cholesky(4, linalg.KernelTimes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		g        *dag.Graph
+		mode     Mode
+		attempts int // ExactGeometric's per-task cap; 0 for ExactTwoState
+		sketch   bool
+		pfails   []float64
+	}{
+		{"cholesky4", ch4, SingleRetry, 0, false, []float64{1e-2, 1e-3, 1e-4}},
+		{"cholesky3", ch3, FullReexecution, 4, false, []float64{1e-2, 1e-3, 1e-4}},
+		{"lu2", lu2, FullReexecution, 20, true, []float64{0.05, 0.1}},
+		{"cholesky3", ch3, FullReexecution, 4, true, []float64{1e-2}},
+	} {
+		for _, pfail := range c.pfails {
+			m, err := failure.FromPfail(pfail, c.g.MeanWeight())
 			if err != nil {
 				t.Fatal(err)
 			}
-			var exact float64
-			if mode == SingleRetry {
-				exact, err = ExactTwoState(g, m)
+			var exact, trunc float64
+			if c.attempts == 0 {
+				exact, err = ExactTwoState(c.g, m)
 			} else {
-				exact, err = ExactGeometric(g, m, 4)
+				exact, err = ExactGeometric(c.g, m, c.attempts)
+				for i := 0; i < c.g.NumTasks(); i++ {
+					pf := m.PFail(c.g.Weight(i))
+					trunc += c.g.Weight(i) * math.Pow(pf, float64(c.attempts)) / (1 - pf)
+				}
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := NewEstimator(g, m, Config{Trials: 1, Mode: mode, Workers: 1})
+			e, err := NewEstimator(c.g, m, Config{Trials: 1, Mode: c.mode, Workers: 1, Sketch: c.sketch})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if e.stratified() == c.sketch {
+				t.Fatalf("%s pfail %g: stratified %v with sketch %v", c.name, pfail, e.stratified(), c.sketch)
 			}
 			for _, adaptive := range []bool{false, true} {
 				covered := 0
+				halves := make([]float64, 0, runs)
 				for seed := uint64(0); seed < runs; seed++ {
-					cfg := Config{Trials: chunkSize, Seed: seed, Mode: mode, Workers: 1}
+					cfg := Config{Trials: chunkSize, Seed: seed, Mode: c.mode, Workers: 1, Sketch: c.sketch}
 					if adaptive {
 						// A relative tolerance on the failure excess.
-						cfg = Config{Tolerance: 1e-3 * (exact - e.d0), MaxTrials: 16 * chunkSize, Seed: seed, Mode: mode, Workers: 1}
+						cfg = Config{Tolerance: 1e-3 * (exact - e.d0), MaxTrials: 16 * chunkSize, Seed: seed, Mode: c.mode, Workers: 1, Sketch: c.sketch}
 					}
 					we, err := e.WithConfig(cfg)
 					if err != nil {
@@ -470,13 +509,21 @@ func TestCalibrationCoverage(t *testing.T) {
 					if adaptive {
 						half = res.AchievedCI
 					}
+					halves = append(halves, half)
 					if math.Abs(res.Mean-exact) <= half {
 						covered++
 					}
 				}
 				if covered < minCovered {
-					t.Errorf("%v pfail %g adaptive %v: interval covered the exact %v in %d of %d runs, want >= %d",
-						mode, pfail, adaptive, exact, covered, runs, minCovered)
+					t.Errorf("%s %v pfail %g adaptive %v: interval covered the exact %v in %d of %d runs, want >= %d",
+						c.name, c.mode, pfail, adaptive, exact, covered, runs, minCovered)
+				}
+				if c.attempts > 0 {
+					sort.Float64s(halves)
+					if med := halves[runs/2]; !(trunc < med/10) {
+						t.Errorf("%s pfail %g adaptive %v: truncation bound %v not below a tenth of the median half-width %v",
+							c.name, pfail, adaptive, trunc, med)
+					}
 				}
 			}
 		}

@@ -4,8 +4,9 @@ import "fmt"
 
 // WithConfig returns an estimator that shares the receiver's compiled
 // snapshot — the frozen CSR form, per-task failure probabilities, single-
-// failure head/tail tables, the sampler's bit-level threshold tables and
-// the stratified estimator's exact part —
+// failure head/tail tables, the control variate's Δ_k and E[C], the
+// sampler's bit-level threshold tables and the stratified estimator's
+// exact part —
 // under a different run configuration. Construction cost is O(1): none of
 // the shared state is rebuilt, which is what lets the makespand registry
 // answer a warm estimate request without paying freeze/table costs again.
@@ -33,7 +34,7 @@ func (e *Estimator) WithConfig(cfg Config) (*Estimator, error) {
 // registry entry that owns it and accounted there. Attempt tables shared
 // between equal-probability positions are counted once.
 func (e *Estimator) SizeBytes() int64 {
-	s := int64(len(e.pfTopo)+len(e.invLnPf)+len(e.hpt)) * 8
+	s := int64(len(e.pfTopo)+len(e.invLnPf)+len(e.hpt)+len(e.delta)) * 8
 	s += int64(len(e.sinks)) * 4
 	if st := e.strat; st != nil {
 		s += int64(len(st.first)+len(st.logS))*8 + 64

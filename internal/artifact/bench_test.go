@@ -64,7 +64,7 @@ func BenchmarkArtifactGraphWarm(b *testing.B) {
 }
 
 func BenchmarkArtifactPlanCold(b *testing.B) {
-	_, ga, model := benchGraphModel(b)
+	_, ga, _ := benchGraphModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := NewStore(0)
@@ -72,20 +72,20 @@ func BenchmarkArtifactPlanCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := st.Plan(cold, 0, model); err != nil {
+		if _, err := st.Plan(cold, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkArtifactPlanWarm(b *testing.B) {
-	st, ga, model := benchGraphModel(b)
-	if _, err := st.Plan(ga, 0, model); err != nil {
+	st, ga, _ := benchGraphModel(b)
+	if _, err := st.Plan(ga, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Plan(ga, 0, model); err != nil {
+		if _, err := st.Plan(ga, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -314,17 +314,16 @@ func (s *Store) Touch(ga *Graph) {
 	s.res.Lookup(ga.key)
 }
 
-// Plan resolves the graph's recorded Dodin reduction schedule for the
-// given atom cap. The key normalizes the cap only — a plan replays
-// bit-identically under every failure model (see spgraph.Plan), so one
-// recording serves estimates and sweeps at any pfail; model is used
-// solely for the recording run on a miss.
-func (s *Store) Plan(ga *Graph, atoms int, model failure.Model) (*spgraph.Plan, error) {
-	return s.PlanContext(context.Background(), ga, atoms, model)
+// Plan resolves the graph's compiled Dodin plan for the given atom cap.
+// The key normalizes the cap only: a plan is compiled from topology
+// alone and replays under every failure model (see spgraph.Plan), so one
+// compilation serves estimates and sweeps at any pfail.
+func (s *Store) Plan(ga *Graph, atoms int) (*spgraph.Plan, error) {
+	return s.PlanContext(context.Background(), ga, atoms)
 }
 
 // PlanContext is Plan with the caller's request context.
-func (s *Store) PlanContext(ctx context.Context, ga *Graph, atoms int, model failure.Model) (*spgraph.Plan, error) {
+func (s *Store) PlanContext(ctx context.Context, ga *Graph, atoms int) (*spgraph.Plan, error) {
 	v, err := s.res.ResolveContext(ctx, Request{
 		Kind: KindPlan,
 		Key:  planKey(ga.ID, atoms),
@@ -334,7 +333,7 @@ func (s *Store) PlanContext(ctx context.Context, ga *Graph, atoms int, model fai
 				return nil, 0, err
 			}
 			g := deps[0].(*Graph)
-			_, _, plan, err := spgraph.DodinPlan(g.G, model, atoms)
+			plan, err := spgraph.Compile(g.G, atoms)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -112,12 +112,12 @@ func RunSweepGraph(ga *artifact.Graph, spec SweepSpec, opts Options) (SweepResul
 		}
 	}
 	if wantsDodin && len(ctxs) > 0 {
-		// Resolve the reduction schedule once, as untimed sweep setup —
-		// warm when any earlier sweep or estimate recorded it — and
+		// Resolve the compiled plan once, as untimed sweep setup —
+		// warm when any earlier sweep or estimate compiled it — and
 		// replay it at every point, including the first, so the
 		// per-point Dodin timings all measure the same (replay) work and
 		// stay comparable across pfail.
-		plan, err := opts.Artifacts.PlanContext(opts.ctx(), ga, opts.DodinMaxAtoms, ctxs[0].model)
+		plan, err := opts.Artifacts.PlanContext(opts.ctx(), ga, opts.DodinMaxAtoms)
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("sweep %s pfail=%g: %w", MethodDodin, ctxs[0].pfail, err)
 		}

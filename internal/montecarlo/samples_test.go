@@ -136,9 +136,12 @@ func TestRunSamplesMatchesRun(t *testing.T) {
 func TestMonteCarloDistributionMatchesExactSP(t *testing.T) {
 	g := dag.Diamond(1, 5, 3, 2)
 	m := failure.Model{Lambda: 0.2}
-	exact, err := spgraph.EvaluateSP(g, m, -1)
+	exact, stats, err := spgraph.Dodin(g, m, -1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Duplications != 0 {
+		t.Fatalf("diamond needed %d duplications", stats.Duplications)
 	}
 	e, err := NewEstimator(g, m, Config{Trials: 200000, Seed: 8, Mode: SingleRetry})
 	if err != nil {

@@ -21,6 +21,8 @@ import (
 // makespand registry entry is one; Local is the CLIs'.
 type Graph interface {
 	Artifact() *artifact.Graph
+	// PlanContext's model is unused (plans are topology-only); it stays
+	// because benchmark/trace.go calls Entry.PlanContext with it.
 	PlanContext(ctx context.Context, atoms int, model failure.Model) (*spgraph.Plan, error)
 	EstimatorContext(ctx context.Context, model failure.Model, mode montecarlo.Mode) (*montecarlo.Estimator, error)
 	ScheduleEstimatorContext(ctx context.Context, policy schedmc.Policy, procs int, model failure.Model) (*schedmc.Estimator, error)
@@ -124,9 +126,9 @@ func NewLocal(ctx context.Context, g *dag.Graph) (*Local, error) {
 // Artifact returns the graph artifact.
 func (l *Local) Artifact() *artifact.Graph { return l.ga }
 
-// PlanContext resolves the Dodin reduction plan.
+// PlanContext resolves the compiled Dodin plan; model is unused (see Graph).
 func (l *Local) PlanContext(ctx context.Context, atoms int, model failure.Model) (*spgraph.Plan, error) {
-	return l.store.PlanContext(ctx, l.ga, atoms, model)
+	return l.store.PlanContext(ctx, l.ga, atoms)
 }
 
 // EstimatorContext resolves the compiled Monte Carlo estimator.
@@ -199,7 +201,7 @@ func (p *Estimate) analytic(ctx context.Context, g Graph, model failure.Model, e
 		var dt time.Duration
 		switch m {
 		case experiments.MethodDodin:
-			// Replay the recorded reduction instead of re-reducing.
+			// Replay the compiled plan instead of re-reducing.
 			plan, err := g.PlanContext(ctx, p.DodinAtoms, model)
 			if err != nil {
 				return fmt.Errorf("%s: %w", m, err)

@@ -270,23 +270,21 @@ func (r *Registry) Stats() RegistryStats {
 // being accounted), exactly the pre-store registry behavior.
 func (e *Entry) resident() bool { return e.reg.store.Resident(e.ga) }
 
-// PlanContext returns the entry's recorded Dodin reduction schedule for
-// the given atom cap, resolving the plan rule (keyed by the normalized
-// cap only: a plan replays bit-identically under every failure model,
-// see spgraph.Plan, so one recording serves estimates and sweeps at any
-// pfail). Cancellation aborts an in-flight recording at the resolver's
-// next check. On an evicted entry the plan is built cold and
-// unaccounted (checking ctx once up front — the recording is not
-// chunked).
+// PlanContext returns the entry's compiled Dodin plan for the given atom
+// cap, resolving the plan rule (keyed by the normalized cap only: a plan
+// is compiled from topology alone and replays under every failure model,
+// see spgraph.Plan). Cancellation aborts an in-flight compilation at the
+// resolver's next check. On an evicted entry the plan is compiled cold
+// and unaccounted (checking ctx once up front — compilation is not
+// chunked). model is unused; benchmark/trace.go calls this signature.
 func (e *Entry) PlanContext(ctx context.Context, atoms int, model failure.Model) (*spgraph.Plan, error) {
 	if !e.resident() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, _, plan, err := spgraph.DodinPlan(e.G, model, atoms)
-		return plan, err
+		return spgraph.Compile(e.G, atoms)
 	}
-	return e.reg.store.PlanContext(ctx, e.ga, atoms, model)
+	return e.reg.store.PlanContext(ctx, e.ga, atoms)
 }
 
 // EstimatorContext returns the entry's compiled Monte Carlo estimator

@@ -34,26 +34,23 @@ type DodinStats struct {
 // when stuck duplicate a join node (splitting one incoming arc onto a
 // fresh copy of the node and duplicating its outgoing arcs) until the
 // network collapses to a single arc. Duplication treats the duplicated
-// subpaths as independent, which is the method's approximation.
+// subpaths as independent, which is the method's approximation. It is
+// Compile followed by one Run under model.
 //
-// maxAtoms caps distribution supports (DefaultMaxAtoms if <= 0 — pass a
+// maxAtoms caps distribution supports (DefaultMaxAtoms if 0; pass a
 // negative value for an unlimited, exact-arithmetic run on small graphs).
 func Dodin(g *dag.Graph, model failure.Model, maxAtoms int) (Result, DodinStats, error) {
-	if maxAtoms == 0 {
-		maxAtoms = DefaultMaxAtoms
-	}
-	if maxAtoms < 0 {
-		maxAtoms = 0 // unlimited
-	}
-	net, err := FromDAG(g, model, maxAtoms)
+	plan, err := Compile(g, maxAtoms)
 	if err != nil {
 		return Result{}, DodinStats{}, err
 	}
-	return net.Dodin()
+	res, err := plan.Run(model)
+	return res, plan.Stats(), err
 }
 
-// Dodin runs the reduction/duplication loop on the network.
-func (net *Network) Dodin() (Result, DodinStats, error) {
+// reduce runs the reduction/duplication loop on the network until it
+// collapses to one source→sink arc, returning that arc's ID.
+func (net *Network) reduce() (int, DodinStats, error) {
 	var stats DodinStats
 	// Every duplication removes one excess incoming arc from an existing
 	// join; the subsequent reductions can create new joins, so guard the
@@ -61,15 +58,15 @@ func (net *Network) Dodin() (Result, DodinStats, error) {
 	budget := 40*net.nAlive + 1000
 	for {
 		stats.Reductions += net.reducePass()
-		if d, err := net.result(); err == nil {
-			return Result{Estimate: d.Mean(), Distribution: d}, stats, nil
+		if id, err := net.result(); err == nil {
+			return id, stats, nil
 		}
 		if !net.duplicateOne() {
-			return Result{}, stats, fmt.Errorf("spgraph: reduction stuck with %d arcs and no join to duplicate", net.nAlive)
+			return 0, stats, fmt.Errorf("spgraph: reduction stuck with %d arcs and no join to duplicate", net.nAlive)
 		}
 		stats.Duplications++
 		if stats.Duplications > budget {
-			return Result{}, stats, fmt.Errorf("spgraph: duplication budget %d exceeded (arcs left: %d)", budget, net.nAlive)
+			return 0, stats, fmt.Errorf("spgraph: duplication budget %d exceeded (arcs left: %d)", budget, net.nAlive)
 		}
 	}
 }
@@ -152,22 +149,16 @@ func (net *Network) duplicateOne() bool {
 	in := net.liveIn(v)
 	moved := in[0]
 	u := net.arcs[moved].from
-	d := net.arcs[moved].dist
 	// New node v'.
 	vp := net.addNode()
-	movedTree := net.arcs[moved].tree
 	net.killArc(moved)
-	if net.rec != nil {
-		net.rec.ops = append(net.rec.ops, planOp{kind: opCopy, a: int32(moved)})
-	}
-	net.addArc(u, vp, d, movedTree)
+	net.ops = append(net.ops, planOp{kind: opMove, a: int32(moved)})
+	net.addArc(u, vp)
 	for _, id := range net.liveOut(v) {
-		// Duplicated subpaths share tree pointers; a later evaluation
-		// treats the copies as independent, which is Dodin's approximation.
-		if net.rec != nil {
-			net.rec.ops = append(net.rec.ops, planOp{kind: opCopy, a: int32(id)})
-		}
-		net.addArc(vp, net.arcs[id].to, net.arcs[id].dist, net.arcs[id].tree)
+		// The copies replay as independent arcs carrying the same
+		// distribution, which is Dodin's approximation.
+		net.ops = append(net.ops, planOp{kind: opCopy, a: int32(id)})
+		net.addArc(vp, net.arcs[id].to)
 	}
 	// Only v (one in-arc fewer) and v' (the fresh node) can have become
 	// reducible; seed them for the next pass. v' must pop first, as the
@@ -181,26 +172,9 @@ func (net *Network) duplicateOne() bool {
 // the two-terminal AoA sense used by the reduction (true iff Dodin needs
 // zero duplications).
 func IsSeriesParallel(g *dag.Graph) (bool, error) {
-	net, err := FromDAG(g, failure.Model{}, DefaultMaxAtoms)
+	net, err := FromDAG(g)
 	if err != nil {
 		return false, err
 	}
 	return net.IsSeriesParallel(), nil
-}
-
-// EvaluateSP computes the exact makespan distribution of a series-parallel
-// task graph (exact when maxAtoms < 0, i.e. uncapped). It fails if g is
-// not series-parallel.
-func EvaluateSP(g *dag.Graph, model failure.Model, maxAtoms int) (Result, error) {
-	if maxAtoms == 0 {
-		maxAtoms = DefaultMaxAtoms
-	}
-	if maxAtoms < 0 {
-		maxAtoms = 0
-	}
-	net, err := FromDAG(g, model, maxAtoms)
-	if err != nil {
-		return Result{}, err
-	}
-	return net.EvaluateSP()
 }

@@ -1,9 +1,12 @@
 // Package spgraph implements the series-parallel machinery behind the
 // paper's "Dodin" competitor (§II-A2, §V-A): conversion of a task DAG into
-// an activity-on-arc (AoA) network, exact series/parallel reductions over
-// discrete distributions, series-parallel recognition, and Dodin's node
-// duplication that forces an arbitrary DAG into series-parallel form so
-// its makespan distribution can be evaluated by reduction.
+// an activity-on-arc (AoA) network, series/parallel reductions,
+// series-parallel recognition, and Dodin's node duplication that forces an
+// arbitrary DAG into series-parallel form. Every reduction and duplication
+// depends on topology alone, so Compile walks the network once and
+// records the schedule as a Plan; Plan.Run is the one place that does the
+// distribution arithmetic (exact independent max and convolution of the
+// arcs' makespan distributions) under a failure model.
 package spgraph
 
 import (
@@ -12,27 +15,24 @@ import (
 	"math"
 
 	"repro/internal/dag"
-	"repro/internal/distribution"
-	"repro/internal/failure"
 )
 
-// Network is a directed multigraph with a distribution on every arc, a
-// single source and a single sink — a PERT activity-on-arc network.
+// Network is a directed multigraph with a single source and a single
+// sink — the topology of a PERT activity-on-arc network. It carries no
+// distributions: reducing it records the schedule a Plan replays.
 //
 // The reduction machinery keeps incremental state so that a full Dodin
 // run does O(1) work per reduction instead of rescanning the network:
 // live in/out degree counters, a worklist that survives across
 // duplications (lifo+pending, see reduce.go), an epoch-stamped scratch
 // table for parallel-arc detection, and a lazy min-heap of join-node
-// candidates for duplicateOne. Distribution ops go through a pooled
-// Scratch, so reductions allocate only their result.
+// candidates for duplicateOne.
 type Network struct {
 	arcs     []arc
 	aliveArc []bool
 	in, out  [][]int // arc IDs per node (may contain dead arcs; filtered on use)
 	src, snk int
 	nAlive   int
-	maxAtoms int // distribution support cap; 0 = unlimited (exact)
 
 	inDeg, outDeg []int32 // live arc counts per node
 
@@ -58,18 +58,16 @@ type Network struct {
 	// inDeg >= 2 && outDeg >= 1 has a current entry.
 	cand []int64
 
-	scratch distribution.Scratch
-
-	// rec, when non-nil, records the reduction schedule for Plan replay
-	// (see plan.go). Recording is append-only and does not alter any
-	// decision the reduction makes.
-	rec *planRec
+	// init is each initial arc's payload in creation order: the task
+	// whose two-state distribution the arc carries, or -1 for a
+	// zero-length arc. ops is the reduction/duplication schedule, one
+	// entry per merge or duplicated arc (see plan.go).
+	init []int32
+	ops  []planOp
 }
 
 type arc struct {
 	from, to int
-	dist     distribution.Discrete
-	tree     *SPNode // SP decomposition witness; nil for zero arcs
 }
 
 // DefaultMaxAtoms caps distribution supports during reductions. Without a
@@ -79,11 +77,10 @@ type arc struct {
 const DefaultMaxAtoms = 64
 
 // FromDAG converts a task graph into an AoA network: task i becomes an arc
-// carrying its 2-state distribution between a fresh start/end node pair;
-// each precedence edge becomes a zero-length arc; a super-source and
-// super-sink tie up entry and exit tasks. maxAtoms caps distribution
-// supports during subsequent reductions (0 = unlimited).
-func FromDAG(g *dag.Graph, model failure.Model, maxAtoms int) (*Network, error) {
+// between a fresh start/end node pair; each precedence edge becomes a
+// zero-length arc; a super-source and super-sink tie up entry and exit
+// tasks.
+func FromDAG(g *dag.Graph) (*Network, error) {
 	if _, err := g.TopoOrder(); err != nil {
 		return nil, err
 	}
@@ -96,7 +93,6 @@ func FromDAG(g *dag.Graph, model failure.Model, maxAtoms int) (*Network, error) 
 		out:       make([][]int, nn),
 		src:       2 * n,
 		snk:       2*n + 1,
-		maxAtoms:  maxAtoms,
 		inDeg:     make([]int32, nn),
 		outDeg:    make([]int32, nn),
 		inQueue:   make([]bool, nn),
@@ -104,27 +100,28 @@ func FromDAG(g *dag.Graph, model failure.Model, maxAtoms int) (*Network, error) 
 		headMark:  make([]int64, nn),
 		sweepPos:  math.MaxInt,
 	}
-	zero := distribution.Point(0)
 	for i := 0; i < n; i++ {
-		d, err := distribution.TwoState(g.Weight(i), model.PSuccess(g.Weight(i)))
-		if err != nil {
-			return nil, fmt.Errorf("spgraph: task %d: %w", i, err)
-		}
-		net.addArc(2*i, 2*i+1, d, leafNode(i))
+		net.addInitArc(2*i, 2*i+1, int32(i))
 		if g.InDegree(i) == 0 {
-			net.addArc(net.src, 2*i, zero, nil)
+			net.addInitArc(net.src, 2*i, -1)
 		}
 		if g.OutDegree(i) == 0 {
-			net.addArc(2*i+1, net.snk, zero, nil)
+			net.addInitArc(2*i+1, net.snk, -1)
 		}
 		for _, s := range g.Succ(i) {
-			net.addArc(2*i+1, 2*s, zero, nil)
+			net.addInitArc(2*i+1, 2*s, -1)
 		}
 	}
 	if n == 0 {
-		net.addArc(net.src, net.snk, zero, nil)
+		net.addInitArc(net.src, net.snk, -1)
 	}
 	return net, nil
+}
+
+// addInitArc adds one of FromDAG's arcs, recording its payload.
+func (net *Network) addInitArc(u, v int, task int32) {
+	net.init = append(net.init, task)
+	net.addArc(u, v)
 }
 
 // addNode appends a fresh node, growing every per-node table.
@@ -140,9 +137,9 @@ func (net *Network) addNode() int {
 	return id
 }
 
-func (net *Network) addArc(u, v int, d distribution.Discrete, tree *SPNode) int {
+func (net *Network) addArc(u, v int) {
 	id := len(net.arcs)
-	net.arcs = append(net.arcs, arc{from: u, to: v, dist: d, tree: tree})
+	net.arcs = append(net.arcs, arc{from: u, to: v})
 	net.aliveArc = append(net.aliveArc, true)
 	net.out[u] = append(net.out[u], id)
 	net.in[v] = append(net.in[v], id)
@@ -151,7 +148,6 @@ func (net *Network) addArc(u, v int, d distribution.Discrete, tree *SPNode) int 
 	net.nAlive++
 	net.candPush(u)
 	net.candPush(v)
-	return id
 }
 
 func (net *Network) killArc(id int) {
@@ -193,35 +189,23 @@ func (net *Network) liveOut(u int) []int {
 // NumArcs returns the number of live arcs.
 func (net *Network) NumArcs() int { return net.nAlive }
 
-// convMax merges two parallel arcs' distributions (independent max),
-// applying the support cap in the same fused pass.
-func (net *Network) convMax(a, b distribution.Discrete) distribution.Discrete {
-	return a.MaxIndCapped(b, net.maxAtoms, &net.scratch)
-}
-
-// convAdd merges two series arcs' distributions (convolution), applying
-// the support cap in the same fused pass.
-func (net *Network) convAdd(a, b distribution.Discrete) distribution.Discrete {
-	return a.AddCapped(b, net.maxAtoms, &net.scratch)
-}
-
 // errNotReduced reports a network that did not collapse to a single arc.
 var errNotReduced = errors.New("spgraph: network not reduced to a single arc")
 
-// result returns the final arc's distribution once the network has been
-// fully reduced.
-func (net *Network) result() (distribution.Discrete, error) {
+// result returns the final arc's ID once the network has been fully
+// reduced to a single source→sink arc.
+func (net *Network) result() (int, error) {
 	if net.nAlive != 1 {
-		return distribution.Discrete{}, errNotReduced
+		return 0, errNotReduced
 	}
 	for id, alive := range net.aliveArc {
 		if alive {
 			a := net.arcs[id]
 			if a.from != net.src || a.to != net.snk {
-				return distribution.Discrete{}, fmt.Errorf("%w: last arc (%d,%d) is not source→sink", errNotReduced, a.from, a.to)
+				return 0, fmt.Errorf("%w: last arc (%d,%d) is not source→sink", errNotReduced, a.from, a.to)
 			}
-			return a.dist, nil
+			return id, nil
 		}
 	}
-	return distribution.Discrete{}, errNotReduced
+	return 0, errNotReduced
 }

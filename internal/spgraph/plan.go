@@ -9,33 +9,29 @@ import (
 	"repro/internal/failure"
 )
 
-// A Plan is the recorded reduction/duplication schedule of one Dodin run.
+// A Plan is the compiled reduction/duplication schedule of one Dodin run.
 // Every decision Dodin makes — which arcs merge in series or parallel,
 // which join node is duplicated — depends only on the network's topology,
-// never on the arc distributions, so the schedule recorded under one
-// failure model replays verbatim under any other. Replaying skips all of
-// the graph bookkeeping (network construction, worklists, degree
-// counters, candidate heaps) and performs only the distribution
-// arithmetic, with the identical operand order — the replayed Result is
-// bit-identical to a fresh Dodin run on the same graph and model.
+// never on the arc distributions, so Compile records the schedule without
+// any arithmetic and Run replays it under any failure model. Run is the
+// only code that evaluates Dodin's distributions: Dodin, DodinPlan, the
+// artifact store's plan rule and the experiments sweep all go through it.
 //
-// The experiments sweep scheduler records one plan per swept graph and
-// replays it for every further pfail point, concurrently: Run is safe for
-// concurrent use.
+// Run is safe for concurrent use: the sweep scheduler and makespand
+// replay one cached plan for every pfail point.
 type Plan struct {
 	// init describes the initial arcs in creation order: the task ID whose
 	// two-state distribution the arc carries, or -1 for a zero-length
 	// precedence arc.
 	init []int32
-	// weights snapshots the task weights at record time.
+	// weights snapshots the task weights at compile time.
 	weights []float64
-	// ops is the recorded schedule. Arc IDs index the replay's dist array:
-	// initial arcs first, every opAdd/opCopy appending one more — the same
-	// ID assignment the live network used.
+	// ops is the recorded schedule. Arc IDs index Run's slot array:
+	// initial arcs first, every opAdd/opMove/opCopy appending one more.
 	ops      []planOp
 	result   int32
 	nArcs    int
-	maxAtoms int
+	maxAtoms int // 0 = unlimited
 	stats    DodinStats
 
 	pool sync.Pool // *planScratch
@@ -46,79 +42,70 @@ type planOp struct {
 	a, b int32
 }
 
+// The op kinds. Each one also says which arcs the network killed, so Run
+// drops those slots as it goes and holds only the live arcs' distributions.
 const (
 	// opMax: dist[a] = MaxIndCapped(dist[a], dist[b]) — a parallel merge
-	// into the surviving arc.
+	// into the surviving arc a; b dies.
 	opMax uint8 = iota
 	// opAdd: append AddCapped(dist[a], dist[b]) — a series reduction
-	// creating a new arc.
+	// creating a new arc; a and b die.
 	opAdd
-	// opCopy: append dist[a] — a duplication re-homing or copying an arc.
+	// opMove: append dist[a] — a duplication re-homing arc a onto the
+	// fresh node; a dies.
+	opMove
+	// opCopy: append dist[a] — a duplication copying an outgoing arc;
+	// a stays alive.
 	opCopy
 )
-
-// planRec accumulates the schedule while the live run executes.
-type planRec struct {
-	ops []planOp
-}
 
 type planScratch struct {
 	dists []distribution.Discrete
 	s     distribution.Scratch
 }
 
-// DodinPlan runs Dodin on g exactly like Dodin and additionally records
-// the reduction schedule for replay under other failure models.
-func DodinPlan(g *dag.Graph, model failure.Model, maxAtoms int) (Result, DodinStats, *Plan, error) {
+// Compile walks Dodin's reductions and duplications on g's topology and
+// records them as a Plan. maxAtoms caps distribution supports during
+// replay: 0 means DefaultMaxAtoms, a negative value means unlimited
+// (exact arithmetic, for small graphs).
+func Compile(g *dag.Graph, maxAtoms int) (*Plan, error) {
 	if maxAtoms == 0 {
 		maxAtoms = DefaultMaxAtoms
 	}
 	if maxAtoms < 0 {
-		maxAtoms = 0 // unlimited
+		maxAtoms = 0
 	}
-	net, err := FromDAG(g, model, maxAtoms)
+	net, err := FromDAG(g)
+	if err != nil {
+		return nil, err
+	}
+	result, stats, err := net.reduce()
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{
+		init:     net.init,
+		weights:  g.Weights(),
+		ops:      net.ops,
+		result:   int32(result),
+		nArcs:    len(net.arcs),
+		maxAtoms: maxAtoms,
+		stats:    stats,
+	}, nil
+}
+
+// DodinPlan compiles g and runs the plan once under model: it returns
+// Dodin's result together with the plan for replay under other models.
+func DodinPlan(g *dag.Graph, model failure.Model, maxAtoms int) (Result, DodinStats, *Plan, error) {
+	plan, err := Compile(g, maxAtoms)
 	if err != nil {
 		return Result{}, DodinStats{}, nil, err
 	}
-	n := g.NumTasks()
-	plan := &Plan{
-		init:     make([]int32, len(net.arcs)),
-		weights:  g.Weights(),
-		maxAtoms: maxAtoms,
-	}
-	// Recover each initial arc's payload from the FromDAG node layout:
-	// the arc (2i, 2i+1) carries task i, everything else is a zero arc.
-	for id, a := range net.arcs {
-		plan.init[id] = -1
-		if a.from < 2*n && a.from%2 == 0 && a.to == a.from+1 {
-			plan.init[id] = int32(a.from / 2)
-		}
-	}
-	net.rec = &planRec{}
-	res, stats, err := net.Dodin()
+	res, err := plan.Run(model)
 	if err != nil {
-		return Result{}, stats, nil, err
+		return Result{}, plan.Stats(), nil, err
 	}
-	plan.ops = net.rec.ops
-	plan.stats = stats
-	plan.nArcs = len(net.arcs)
-	// Replay appends exactly one arc per opAdd/opCopy; verify the
-	// recording accounts for every live arc so IDs line up.
-	appended := 0
-	for _, op := range plan.ops {
-		if op.kind != opMax {
-			appended++
-		}
-	}
-	if len(plan.init)+appended != plan.nArcs {
-		return Result{}, stats, nil, fmt.Errorf("spgraph: plan recorded %d arcs, network has %d", len(plan.init)+appended, plan.nArcs)
-	}
-	for id, alive := range net.aliveArc {
-		if alive {
-			plan.result = int32(id)
-		}
-	}
-	return res, stats, plan, nil
+	return res, plan.Stats(), plan, nil
 }
 
 // Stats returns the duplication/reduction counts of the recorded run;
@@ -135,17 +122,28 @@ func (p *Plan) SizeBytes() int64 {
 	return s + 96               // struct header + pool
 }
 
-// Run replays the plan under model, returning the same Result a fresh
-// Dodin run on the recorded graph would produce, bit for bit. Safe for
-// concurrent use; scratch buffers are pooled across calls.
+// Run evaluates the plan under model: Dodin's makespan distribution of
+// the compiled graph. Safe for concurrent use; scratch buffers are pooled
+// across calls.
 func (p *Plan) Run(model failure.Model) (Result, error) {
+	return p.run(model, nil)
+}
+
+// run is Run with an optional step hook, called with the slot array after
+// every op (tests mirror the network's liveness with it).
+func (p *Plan) run(model failure.Model, step func(dists []distribution.Discrete)) (Result, error) {
 	ps, _ := p.pool.Get().(*planScratch)
 	if ps == nil {
 		ps = &planScratch{}
 	}
 	if cap(ps.dists) < p.nArcs {
-		ps.dists = make([]distribution.Discrete, p.nArcs)
+		ps.dists = make([]distribution.Discrete, 0, p.nArcs)
 	}
+	// Drop references on return so pooled scratch pins no distribution.
+	defer func() {
+		clear(ps.dists[:cap(ps.dists)])
+		p.pool.Put(ps)
+	}()
 	dists := ps.dists[:0]
 	zero := distribution.Point(0)
 	for _, task := range p.init {
@@ -156,28 +154,29 @@ func (p *Plan) Run(model failure.Model) (Result, error) {
 		a := p.weights[task]
 		d, err := distribution.TwoState(a, model.PSuccess(a))
 		if err != nil {
-			p.pool.Put(ps)
 			return Result{}, fmt.Errorf("spgraph: task %d: %w", task, err)
 		}
 		dists = append(dists, d)
 	}
+	var dead distribution.Discrete
 	for _, op := range p.ops {
 		switch op.kind {
 		case opMax:
 			dists[op.a] = dists[op.a].MaxIndCapped(dists[op.b], p.maxAtoms, &ps.s)
+			dists[op.b] = dead
 		case opAdd:
 			dists = append(dists, dists[op.a].AddCapped(dists[op.b], p.maxAtoms, &ps.s))
+			dists[op.a], dists[op.b] = dead, dead
+		case opMove:
+			dists = append(dists, dists[op.a])
+			dists[op.a] = dead
 		default: // opCopy
 			dists = append(dists, dists[op.a])
 		}
+		if step != nil {
+			step(dists)
+		}
 	}
 	d := dists[p.result]
-	res := Result{Estimate: d.Mean(), Distribution: d}
-	// Drop references so pooled scratch does not pin whole distributions.
-	for i := range dists {
-		dists[i] = distribution.Discrete{}
-	}
-	ps.dists = dists[:0]
-	p.pool.Put(ps)
-	return res, nil
+	return Result{Estimate: d.Mean(), Distribution: d}, nil
 }

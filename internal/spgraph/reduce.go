@@ -1,18 +1,16 @@
 package spgraph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // reducePass applies series and parallel reductions until none applies,
 // returning the number of reductions performed.
 //
-// Parallel reduction: two live arcs with the same endpoints merge into one
-// carrying the independent max of their distributions. Series reduction:
-// an internal node with exactly one live incoming and one live outgoing
-// arc disappears; the arcs merge into their convolution. Both are exact
-// under the model's independence assumptions.
+// Parallel reduction: two live arcs with the same endpoints merge into the
+// first (opMax: the independent max of their distributions). Series
+// reduction: an internal node with exactly one live incoming and one live
+// outgoing arc disappears; the arcs merge into a new arc (opAdd: their
+// convolution). Both are exact under the model's independence
+// assumptions.
 //
 // The worklist replicates the original all-nodes LIFO stack — seed
 // [0..n-1], pop descending, re-pushes on top — without its O(nodes) cost
@@ -22,7 +20,7 @@ import (
 // order (their seed positions). So the worklist splits in two: `lifo` for
 // pushes at or above sweepPos (already swept this pass) and a max-heap
 // `pending` for pushes below it, giving the identical reduction sequence
-// — and therefore bit-identical distributions — at O(log n) per
+// — and therefore the identical recorded schedule — at O(log n) per
 // operation. The first pass seeds every node; after a duplication only
 // the two nodes whose degrees changed in a reducibility-relevant way are
 // seeded (see duplicateOne), which is exactly the set the full re-seed
@@ -66,12 +64,7 @@ func (net *Network) reducePass() int {
 				head := net.arcs[id].to
 				if net.headMark[head] == net.headEpoch {
 					first := net.headFirst[head]
-					if net.rec != nil {
-						net.rec.ops = append(net.rec.ops, planOp{kind: opMax, a: int32(first), b: int32(id)})
-					}
-					merged := net.convMax(net.arcs[first].dist, net.arcs[id].dist)
-					net.arcs[first].dist = merged
-					net.arcs[first].tree = parallelNode(net.arcs[first].tree, net.arcs[id].tree)
+					net.ops = append(net.ops, planOp{kind: opMax, a: int32(first), b: int32(id)})
 					net.killArc(id)
 					reductions++
 					net.push(v)
@@ -89,14 +82,11 @@ func (net *Network) reducePass() int {
 		}
 		if net.inDeg[v] == 1 && net.outDeg[v] == 1 {
 			in, out := net.liveIn(v), net.liveOut(v)
-			if net.rec != nil {
-				net.rec.ops = append(net.rec.ops, planOp{kind: opAdd, a: int32(in[0]), b: int32(out[0])})
-			}
+			net.ops = append(net.ops, planOp{kind: opAdd, a: int32(in[0]), b: int32(out[0])})
 			a, b := net.arcs[in[0]], net.arcs[out[0]]
-			merged := net.convAdd(a.dist, b.dist)
 			net.killArc(in[0])
 			net.killArc(out[0])
-			net.addArc(a.from, b.to, merged, seriesNode(a.tree, b.tree))
+			net.addArc(a.from, b.to)
 			reductions++
 			net.push(a.from)
 			net.push(b.to)
@@ -170,16 +160,4 @@ func (net *Network) IsSeriesParallel() bool {
 	net.reducePass()
 	_, err := net.result()
 	return err == nil
-}
-
-// EvaluateSP reduces a series-parallel network to its exact makespan
-// distribution (exact up to the configured support cap). It fails with an
-// error mentioning Dodin if the network is not series-parallel.
-func (net *Network) EvaluateSP() (Result, error) {
-	net.reducePass()
-	d, err := net.result()
-	if err != nil {
-		return Result{}, fmt.Errorf("%w (graph is not series-parallel; use Dodin)", err)
-	}
-	return Result{Estimate: d.Mean(), Distribution: d}, nil
 }

@@ -29,7 +29,7 @@ func nGraph() *dag.Graph {
 
 func TestFromDAGShape(t *testing.T) {
 	g := dag.Diamond(1, 2, 3, 4)
-	net, err := FromDAG(g, failure.Model{Lambda: 0.1}, 0)
+	net, err := FromDAG(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,19 @@ func TestFromDAGShape(t *testing.T) {
 }
 
 func TestFromDAGEmptyGraph(t *testing.T) {
-	net, err := FromDAG(dag.New(0), failure.Model{}, 0)
+	net, err := FromDAG(dag.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.EvaluateSP()
+	if net.NumArcs() != 1 {
+		t.Fatalf("empty network arcs = %d want 1 (source→sink)", net.NumArcs())
+	}
+	res, stats, err := Dodin(dag.New(0), failure.Model{}, -1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Duplications != 0 {
+		t.Fatalf("empty graph needed %d duplications", stats.Duplications)
 	}
 	if res.Estimate != 0 {
 		t.Fatalf("empty estimate = %v", res.Estimate)
@@ -59,7 +65,7 @@ func TestFromDAGRejectsCycle(t *testing.T) {
 	b := g.MustAddTask("b", 1)
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, a)
-	if _, err := FromDAG(g, failure.Model{}, 0); err == nil {
+	if _, err := FromDAG(g); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
@@ -99,64 +105,33 @@ func TestCholeskyIsNotSeriesParallel(t *testing.T) {
 	}
 }
 
-func TestEvaluateSPChainExact(t *testing.T) {
-	g := dag.Chain(5, 1, 2)
-	m := failure.Model{Lambda: 0.1}
-	res, err := EvaluateSP(g, m, -1) // uncapped: exact
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := montecarlo.ExactTwoState(g, m)
-	if !almostEq(res.Estimate, exact, 1e-9) {
-		t.Fatalf("chain SP estimate %v != exact %v", res.Estimate, exact)
-	}
-}
-
-func TestEvaluateSPDiamondExact(t *testing.T) {
-	g := dag.Diamond(1, 5, 3, 2)
-	m := failure.Model{Lambda: 0.2}
-	res, err := EvaluateSP(g, m, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := montecarlo.ExactTwoState(g, m)
-	if !almostEq(res.Estimate, exact, 1e-9) {
-		t.Fatalf("diamond SP estimate %v != exact %v", res.Estimate, exact)
-	}
-}
-
-func TestEvaluateSPForkJoinExact(t *testing.T) {
-	g := dag.ForkJoin(5, 1.0)
-	m := failure.Model{Lambda: 0.3}
-	res, err := EvaluateSP(g, m, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := montecarlo.ExactTwoState(g, m)
-	if !almostEq(res.Estimate, exact, 1e-9) {
-		t.Fatalf("fork-join SP estimate %v != exact %v", res.Estimate, exact)
-	}
-}
-
-func TestEvaluateSPRejectsNonSP(t *testing.T) {
-	if _, err := EvaluateSP(nGraph(), failure.Model{Lambda: 0.1}, -1); err == nil {
-		t.Fatal("non-SP graph accepted by EvaluateSP")
-	}
-}
-
+// On a series-parallel graph Dodin needs no duplication, so uncapped it
+// is the exact makespan distribution.
 func TestDodinZeroDuplicationsOnSPGraphs(t *testing.T) {
-	m := failure.Model{Lambda: 0.15}
-	for _, g := range []*dag.Graph{dag.Chain(6, 1, 2), dag.Diamond(1, 5, 3, 2), dag.ForkJoin(4, 2)} {
-		res, stats, err := Dodin(g, m, -1)
+	cases := []struct {
+		name   string
+		g      *dag.Graph
+		lambda float64
+	}{
+		{"chain6", dag.Chain(6, 1, 2), 0.15},
+		{"diamond", dag.Diamond(1, 5, 3, 2), 0.15},
+		{"forkjoin4", dag.ForkJoin(4, 2), 0.15},
+		{"chain5", dag.Chain(5, 1, 2), 0.1},
+		{"diamond", dag.Diamond(1, 5, 3, 2), 0.2},
+		{"forkjoin5", dag.ForkJoin(5, 1.0), 0.3},
+	}
+	for _, c := range cases {
+		m := failure.Model{Lambda: c.lambda}
+		res, stats, err := Dodin(c.g, m, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Duplications != 0 {
-			t.Fatalf("SP graph needed %d duplications", stats.Duplications)
+			t.Fatalf("%s: SP graph needed %d duplications", c.name, stats.Duplications)
 		}
-		sp, _ := EvaluateSP(g, m, -1)
-		if !almostEq(res.Estimate, sp.Estimate, 1e-9) {
-			t.Fatalf("Dodin %v != SP %v", res.Estimate, sp.Estimate)
+		exact, _ := montecarlo.ExactTwoState(c.g, m)
+		if !almostEq(res.Estimate, exact, 1e-9) {
+			t.Fatalf("%s λ=%g: Dodin %v != exact %v", c.name, c.lambda, res.Estimate, exact)
 		}
 	}
 }

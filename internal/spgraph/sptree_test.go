@@ -1,17 +1,217 @@
 package spgraph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/dag"
+	"repro/internal/distribution"
 	"repro/internal/failure"
 	"repro/internal/linalg"
 	"repro/internal/montecarlo"
 )
+
+// SPKind classifies SP-tree nodes.
+type SPKind int
+
+// SP-tree node kinds.
+const (
+	SPLeaf SPKind = iota // a single task
+	SPSeries
+	SPParallel
+)
+
+// SPNode is a node of the series-parallel decomposition tree of a task
+// graph: leaves are tasks, internal nodes compose children in series
+// (sequential sum) or parallel (independent max). planTree builds it as a
+// second interpreter of a compiled plan's op list, and Evaluate walks it
+// recursively — an evaluation independent of Plan.Run's slot arithmetic.
+type SPNode struct {
+	Kind     SPKind
+	Task     int // valid for SPLeaf
+	Children []*SPNode
+	// minLeaf caches the smallest leaf task ID of the subtree. Dodin
+	// duplication shares subtrees between arcs (opMove/opCopy), so the
+	// "tree" reachable from an arc is really a DAG — a recursive minimum would revisit
+	// shared subtrees exponentially often. Filled at construction.
+	minLeaf int
+}
+
+func leafNode(task int) *SPNode {
+	return &SPNode{Kind: SPLeaf, Task: task, minLeaf: task}
+}
+
+func seriesNode(a, b *SPNode) *SPNode {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	// Flatten nested series for canonical shape.
+	var kids []*SPNode
+	for _, n := range []*SPNode{a, b} {
+		if n.Kind == SPSeries {
+			kids = append(kids, n.Children...)
+		} else {
+			kids = append(kids, n)
+		}
+	}
+	return &SPNode{Kind: SPSeries, Children: kids, minLeaf: min(a.minLeaf, b.minLeaf)}
+}
+
+func parallelNode(a, b *SPNode) *SPNode {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	var kids []*SPNode
+	for _, n := range []*SPNode{a, b} {
+		if n.Kind == SPParallel {
+			kids = append(kids, n.Children...)
+		} else {
+			kids = append(kids, n)
+		}
+	}
+	// Parallel composition is commutative; sort children by smallest leaf
+	// so the decomposition is canonical regardless of reduction order.
+	sort.Slice(kids, func(i, j int) bool { return kids[i].minLeaf < kids[j].minLeaf })
+	return &SPNode{Kind: SPParallel, Children: kids, minLeaf: min(a.minLeaf, b.minLeaf)}
+}
+
+// String renders the tree as S(...) / P(...) / T<id> — e.g. the diamond
+// 0→{1,2}→3 prints "S(T0, P(T1, T2), T3)".
+func (n *SPNode) String() string {
+	if n == nil {
+		return "ε"
+	}
+	switch n.Kind {
+	case SPLeaf:
+		return fmt.Sprintf("T%d", n.Task)
+	case SPSeries, SPParallel:
+		tag := "S"
+		if n.Kind == SPParallel {
+			tag = "P"
+		}
+		parts := make([]string, len(n.Children))
+		for i, c := range n.Children {
+			parts[i] = c.String()
+		}
+		return tag + "(" + strings.Join(parts, ", ") + ")"
+	}
+	return "?"
+}
+
+// Tasks returns the leaf task IDs in tree order.
+func (n *SPNode) Tasks() []int {
+	var out []int
+	var walk func(*SPNode)
+	walk = func(m *SPNode) {
+		if m == nil {
+			return
+		}
+		if m.Kind == SPLeaf {
+			out = append(out, m.Task)
+			return
+		}
+		for _, c := range m.Children {
+			walk(c)
+		}
+	}
+	walk(n)
+	return out
+}
+
+// Evaluate computes the makespan distribution of the subtree under the
+// 2-state model, recursively: leaves are TwoState(a_i, p_i), series
+// convolve, parallel take the independent max. maxAtoms caps supports
+// (<= 0 = unlimited). On a tree produced by Decompose this equals
+// Plan.Run exactly (property-tested).
+func (n *SPNode) Evaluate(g *dag.Graph, model failure.Model, maxAtoms int) (distribution.Discrete, error) {
+	capd := func(d distribution.Discrete) distribution.Discrete {
+		if maxAtoms > 0 {
+			return d.Rediscretize(maxAtoms)
+		}
+		return d
+	}
+	var eval func(*SPNode) (distribution.Discrete, error)
+	eval = func(m *SPNode) (distribution.Discrete, error) {
+		if m == nil {
+			return distribution.Point(0), nil
+		}
+		switch m.Kind {
+		case SPLeaf:
+			a := g.Weight(m.Task)
+			return distribution.TwoState(a, model.PSuccess(a))
+		case SPSeries, SPParallel:
+			acc, err := eval(m.Children[0])
+			if err != nil {
+				return distribution.Discrete{}, err
+			}
+			for _, c := range m.Children[1:] {
+				d, err := eval(c)
+				if err != nil {
+					return distribution.Discrete{}, err
+				}
+				if m.Kind == SPSeries {
+					acc = capd(acc.Add(d))
+				} else {
+					acc = capd(acc.MaxInd(d))
+				}
+			}
+			return acc, nil
+		}
+		return distribution.Discrete{}, fmt.Errorf("spgraph: bad SP node kind %d", m.Kind)
+	}
+	return eval(n)
+}
+
+// planTree interprets the plan's op list structurally: initial task
+// arcs are leaves, zero-length arcs are nil, opAdd composes in series,
+// opMax in parallel, and opMove/opCopy share the subtree. It returns the
+// tree of the final arc.
+func planTree(p *Plan) *SPNode {
+	trees := make([]*SPNode, 0, p.nArcs)
+	for _, task := range p.init {
+		var n *SPNode
+		if task >= 0 {
+			n = leafNode(int(task))
+		}
+		trees = append(trees, n)
+	}
+	for _, op := range p.ops {
+		switch op.kind {
+		case opMax:
+			trees[op.a] = parallelNode(trees[op.a], trees[op.b])
+		case opAdd:
+			trees = append(trees, seriesNode(trees[op.a], trees[op.b]))
+		default: // opMove, opCopy
+			trees = append(trees, trees[op.a])
+		}
+	}
+	return trees[p.result]
+}
+
+// Decompose returns the SP decomposition tree of g, or an error if g is
+// not two-terminal series-parallel. An empty graph decomposes to nil.
+func Decompose(g *dag.Graph) (*SPNode, error) {
+	plan, err := Compile(g, 0)
+	if err != nil {
+		return nil, err
+	}
+	if d := plan.Stats().Duplications; d != 0 {
+		return nil, fmt.Errorf("spgraph: graph is not series-parallel (%d duplications)", d)
+	}
+	return planTree(plan), nil
+}
 
 func TestDecomposeChain(t *testing.T) {
 	g := dag.Chain(3, 1)
@@ -136,8 +336,8 @@ func TestRandomSeriesParallelIsSP(t *testing.T) {
 }
 
 // Property: on random SP graphs, the three independent evaluations agree —
-// reduction-based EvaluateSP, recursive tree Evaluate, and (for small
-// graphs) exhaustive enumeration.
+// Dodin (Plan.Run, zero duplications), recursive tree Evaluate, and (for
+// small graphs) exhaustive enumeration.
 func TestQuickSPEvaluationsAgree(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -147,8 +347,8 @@ func TestQuickSPEvaluationsAgree(t *testing.T) {
 			return err == nil // oversized: skip but don't fail
 		}
 		m := failure.Model{Lambda: 0.1}
-		spRes, err := EvaluateSP(g, m, -1)
-		if err != nil {
+		spRes, stats, err := Dodin(g, m, -1)
+		if err != nil || stats.Duplications != 0 {
 			return false
 		}
 		tree, err := Decompose(g)
@@ -175,13 +375,18 @@ func TestQuickSPEvaluationsAgree(t *testing.T) {
 // any per-merge operation that walks subtrees recursively (rather than
 // using cached fields like minLeaf) degrades exponentially. QR at high
 // pfail exercised the worst case: ~0.2 s healthy, ~17 s when the
-// canonical-order sort recomputed subtree minima recursively.
+// canonical-order sort recomputed subtree minima recursively. The guard
+// covers Dodin itself and planTree over the same duplicated plan.
 func TestDodinTreeSharingStaysFast(t *testing.T) {
 	g, _ := linalg.QR(8, linalg.KernelTimes{})
 	m, _ := failure.FromPfail(0.01, g.MeanWeight())
 	start := time.Now()
-	if _, _, err := Dodin(g, m, 0); err != nil {
+	_, _, plan, err := DodinPlan(g, m, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if tree := planTree(plan); tree == nil {
+		t.Fatal("QR k=8 plan has no tree")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("Dodin on QR k=8 took %v; shared-subtree blowup regressed", elapsed)
